@@ -93,8 +93,8 @@ class RunConfig:
     timestamp: bool = True
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.nodes < 1:
             raise ValueError("nodes must be >= 1")
         if self.n_max < 0 or self.m_max < 0:
@@ -286,7 +286,7 @@ def run(cfg: RunConfig) -> str:
     report = {"schema": REPORT_SCHEMA, "config": cfg.to_json_obj(), "result": result}
     if cfg.timestamp:
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _render_csv(cfg: RunConfig, result: dict) -> str:
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     except NonConvergent as exc:
         _emit_error(exc)
         return 3
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, RecursionError) as exc:
         _emit_error(exc)
         return 1
 

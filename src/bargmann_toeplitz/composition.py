@@ -29,7 +29,7 @@ from .spectra import (
     QuadratureSpec,
     eigen_sequence,
 )
-from .symbols import GaussianRadialSymbol, RadialSymbol, Trivalent, classify, gamma
+from .symbols import GaussianRadialSymbol, RadialSymbol, Trivalent, gamma, membership
 
 CLOSED_IN_P = "closed_in_P"
 NOT_TOEPLITZ_IN_P = "not_toeplitz_in_P"
@@ -51,7 +51,7 @@ class CompositionVerdict:
         if self.status == CLOSED_IN_P:
             if self.recognized_symbol is None:
                 raise ValueError("a closed composition must carry its symbol")
-            if classify(self.recognized_symbol).in_p is not Trivalent.YES:
+            if membership(self.recognized_symbol, 0.5) is not Trivalent.YES:
                 raise ValueError("a closed composition's symbol must be in the admissible class")
 
     def to_json_obj(self) -> dict:
@@ -154,11 +154,11 @@ def compose_radial(
     unrecognized (no inverse construction is attempted).
     """
     for name, sym in (("a", sa), ("b", sb)):
-        membership = classify(sym).in_p
-        if membership is not Trivalent.YES:
+        in_p = membership(sym, 0.5)
+        if in_p is not Trivalent.YES:
             raise DomainViolation(
                 f"factor {name} is not certified in the basis-domain class "
-                f"(membership: {membership.value})"
+                f"(membership: {in_p.value})"
             )
     product = compose_sequences(
         eigen_sequence(sa, n_max, spec), eigen_sequence(sb, n_max, spec)
@@ -171,7 +171,7 @@ def compose_radial(
             status=UNRECOGNIZED,
             reason="product spectrum is not geometric within tolerance; no inverse attempted",
         )
-    if classify(fitted).in_p is Trivalent.YES:
+    if membership(fitted, 0.5) is Trivalent.YES:
         return CompositionVerdict(
             product_sequence=product,
             recognized_symbol=fitted,

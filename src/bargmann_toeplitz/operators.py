@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentMoment, DomainViolation, DomainWarning, NonConvergent
+from .errors import DomainViolation, DomainWarning, NonConvergent
 from .spectra import (
     DEFAULT_QUAD_TOL,
     EigenSequence,
@@ -38,18 +38,9 @@ from .spaces import (
     basis_polynomial,
     from_sequence,
     polar_grid,
-    symbol_on_grid,
     to_sequence,
 )
-from .symbols import (
-    EnvelopedSymbol,
-    GaussianRadialSymbol,
-    PolynomialRadialSymbol,
-    RadialSymbol,
-    Trivalent,
-    classify,
-    damped_values,
-)
+from .symbols import RadialSymbol, Trivalent, membership, radial_values, require_moments
 
 
 @dataclass(frozen=True)
@@ -85,18 +76,6 @@ def diagonal_apply(op: DiagonalOperator, seq: L2Sequence) -> L2Sequence:
     return L2Sequence(tuple(p * q for p, q in zip(phi, psi)), tail)
 
 
-def _require_l1_moments(sym: RadialSymbol) -> None:
-    # Matrix elements need |phi| r^m integrability, not natural-domain membership.
-    if isinstance(sym, GaussianRadialSymbol) and sym.exponent.real >= 1.0:
-        raise DivergentMoment(
-            f"Re(exponent) = {sym.exponent.real:.6g} >= 1: weighted moments of |phi| diverge"
-        )
-    if isinstance(sym, EnvelopedSymbol) and sym.envelope_delta >= 1.0:
-        raise DivergentMoment(
-            f"envelope delta = {sym.envelope_delta:.6g} >= 1 does not certify the moment integrals"
-        )
-
-
 def anti_wick_matrix_element(
     sym: RadialSymbol,
     m: int,
@@ -108,7 +87,8 @@ def anti_wick_matrix_element(
     quadrature; for radial symbols this is diagonal: delta_mn phi_n."""
     if m < 0 or n < 0:
         raise ValueError("basis indices must be >= 0")
-    _require_l1_moments(sym)
+    # matrix elements need |phi| r^m integrability, not natural-domain membership
+    require_moments(sym)
     angular = angular_count_for(max(m, n))
 
     def once(s: QuadratureSpec) -> complex:
@@ -120,7 +100,7 @@ def anti_wick_matrix_element(
             + 0.5 * (m + n) * np.log(t)
             - 0.5 * (math.lgamma(m + 1) + math.lgamma(n + 1))
         )
-        radial = damped_values(sym, t, log_damp)
+        radial = sym.damped(t, log_damp)
         theta = 2.0 * np.pi * np.arange(angular) / angular
         phases = np.exp(1j * (n - m) * theta)
         return complex(np.sum(radial[:, None] * phases[None, :]) / angular)
@@ -139,19 +119,13 @@ def in_natural_domain(sym: RadialSymbol, poly: FockPolynomial) -> Trivalent:
 
     For a radial symbol and a polynomial the angular integral splits the
     condition into finiteness of the |phi|^2 moments present in psi, so the
-    decision reduces to the growth exponent: Gaussian symbols exactly by
-    Re(exponent) < 1/2, enveloped ones by delta < 1/2 (otherwise undecidable
-    from an upper bound alone).  The zero element always belongs.
+    decision reduces to the growth exponent: delta < 1/2, decided both ways by
+    an exact bound and only certified by a declared one.  The zero element
+    always belongs.
     """
     if all(c == 0 for c in poly.u_coeffs):
         return Trivalent.YES
-    if isinstance(sym, GaussianRadialSymbol):
-        return Trivalent.YES if sym.exponent.real < 0.5 else Trivalent.NO
-    if isinstance(sym, PolynomialRadialSymbol):
-        return Trivalent.YES
-    if isinstance(sym, EnvelopedSymbol):
-        return Trivalent.YES if sym.envelope_delta < 0.5 else Trivalent.UNDECIDABLE
-    raise TypeError(f"unsupported symbol type {type(sym).__name__}")
+    return membership(sym, 0.5)
 
 
 def toeplitz_apply(
@@ -186,7 +160,8 @@ def toeplitz_apply(
 
 def _projection_coeffs(sym: RadialSymbol, poly: FockPolynomial, spec: QuadratureSpec) -> np.ndarray:
     grid = polar_grid(spec, angular_count_for(poly.degree))
-    scaled = (grid.radial_weights * symbol_on_grid(sym, grid))[:, None] * poly.evaluate(grid.points)
+    symbol = radial_values(sym, np.sqrt(grid.t))
+    scaled = (grid.radial_weights * symbol)[:, None] * poly.evaluate(grid.points)
     out = np.empty(poly.degree + 1, dtype=complex)
     basis = np.ones_like(grid.points)
     for m in range(poly.degree + 1):
@@ -268,10 +243,10 @@ def equivalence_report(
         raise ValueError("tol must be positive")
     spec = spec if spec is not None else QuadratureSpec()
 
-    membership = classify(sym).in_p
-    if membership is Trivalent.NO:
+    in_p = membership(sym, 0.5)
+    if in_p is Trivalent.NO:
         return EquivalenceReport(
-            symbol_in_p=membership,
+            symbol_in_p=in_p,
             max_tested_n=n_max,
             per_n_residual=(),
             verdict=NOT_EQUIVALENT,
@@ -282,9 +257,9 @@ def equivalence_report(
             ),
             tolerance=tol,
         )
-    if membership is Trivalent.UNDECIDABLE:
+    if in_p is Trivalent.UNDECIDABLE:
         return EquivalenceReport(
-            symbol_in_p=membership,
+            symbol_in_p=in_p,
             max_tested_n=n_max,
             per_n_residual=(),
             verdict=UNDECIDABLE_VERDICT,
@@ -311,7 +286,7 @@ def equivalence_report(
             f"residual {worst:.3e} at n = {residuals.index(worst)} exceeds tolerance {tol:g}"
         )
     return EquivalenceReport(
-        symbol_in_p=membership,
+        symbol_in_p=in_p,
         max_tested_n=n_max,
         per_n_residual=tuple(residuals),
         verdict=verdict,

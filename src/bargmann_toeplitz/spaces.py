@@ -21,7 +21,6 @@ import numpy as np
 from .codec import complex_from_json, complex_to_json, sequence_csv
 from .errors import NonConvergent
 from .spectra import DEFAULT_QUAD_TOL, GeometricTail, QuadratureSpec, laguerre_nodes
-from .symbols import RadialSymbol, radial_values
 
 
 def _inv_sqrt_factorial(n: int) -> float:
@@ -221,8 +220,3 @@ def resolution_identity_matrix(n_max: int, spec: QuadratureSpec) -> np.ndarray:
         for n in range(n_max + 1):
             out[m, n] = grid.integrate(basis_values[m] * np.conj(basis_values[n]))
     return out
-
-
-def symbol_on_grid(sym: RadialSymbol, grid: PolarGrid) -> np.ndarray:
-    """phi(|z|) on the grid's radial nodes (radial symbols are angle-free)."""
-    return radial_values(sym, np.sqrt(grid.t))

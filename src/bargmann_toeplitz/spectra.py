@@ -26,14 +26,8 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .codec import complex_to_json, sequence_csv
-from .errors import DivergentMoment, NonConvergent
-from .symbols import (
-    EnvelopedSymbol,
-    GaussianRadialSymbol,
-    PolynomialRadialSymbol,
-    RadialSymbol,
-    damped_values,
-)
+from .errors import NonConvergent
+from .symbols import GaussianRadialSymbol, PolynomialRadialSymbol, RadialSymbol, require_moments
 
 DEFAULT_NODE_COUNT = 200
 DEFAULT_QUAD_TOL = 1e-10
@@ -44,20 +38,17 @@ QUADRATURE = "quadrature"
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Laguerre rule selection; the only supported kind."""
+    """Gauss-Laguerre rule selection by node count."""
 
     node_count: int = DEFAULT_NODE_COUNT
-    kind: str = "gauss_laguerre"
 
     def __post_init__(self):
         if int(self.node_count) != self.node_count or self.node_count < 1:
             raise ValueError("node_count must be an integer >= 1")
         object.__setattr__(self, "node_count", int(self.node_count))
-        if self.kind != "gauss_laguerre":
-            raise ValueError(f"unsupported quadrature kind {self.kind!r}")
 
     def doubled(self) -> "QuadratureSpec":
-        return QuadratureSpec(2 * self.node_count, self.kind)
+        return QuadratureSpec(2 * self.node_count)
 
 
 @dataclass(frozen=True)
@@ -161,23 +152,12 @@ def laguerre_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     return _laguerre_rule(spec.node_count)
 
 
-def _require_convergent_moments(sym: RadialSymbol) -> None:
-    if isinstance(sym, GaussianRadialSymbol) and (1.0 - sym.exponent).real <= 0:
-        raise DivergentMoment(
-            f"Re(1 - exponent) = {(1.0 - sym.exponent).real:.6g} <= 0: the moment integrals diverge"
-        )
-    if isinstance(sym, EnvelopedSymbol) and sym.envelope_delta >= 1.0:
-        raise DivergentMoment(
-            f"envelope delta = {sym.envelope_delta:.6g} >= 1 does not certify convergent moments"
-        )
-
-
 def _moment_once(sym: RadialSymbol, n: int, spec: QuadratureSpec) -> complex:
     nodes, weights = laguerre_nodes(spec)
     mask = weights > 0
     t = nodes[mask]
     log_damp = np.log(weights[mask]) + n * np.log(t) - math.lgamma(n + 1)
-    return complex(np.sum(damped_values(sym, t, log_damp)))
+    return complex(np.sum(sym.damped(t, log_damp)))
 
 
 def quadrature_eigen(
@@ -187,7 +167,7 @@ def quadrature_eigen(
     agree within tol (absolute)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _require_convergent_moments(sym)
+    require_moments(sym)
     coarse = _moment_once(sym, n, spec)
     fine = _moment_once(sym, n, spec.doubled())
     # inverted comparison so non-finite results cannot slip through
@@ -214,7 +194,7 @@ def absolute_moment(
         mask = weights > 0
         t = nodes[mask]
         log_damp = np.log(weights[mask]) + 0.5 * (m - 1) * np.log(t) - math.log(2.0)
-        return float(np.sum(np.abs(damped_values(sym, t, log_damp))))
+        return float(np.sum(np.abs(sym.damped(t, log_damp))))
 
     coarse, fine = once(spec), once(spec.doubled())
     return fine, abs(fine - coarse)
@@ -245,7 +225,7 @@ def eigen_sequence(
         raise ValueError("n_max must be >= 0")
 
     if isinstance(sym, GaussianRadialSymbol):
-        _require_convergent_moments(sym)
+        require_moments(sym)
         pole = 1.0 - sym.exponent
         ratio = 1.0 / pole
         values = [sym.amplitude / pole]

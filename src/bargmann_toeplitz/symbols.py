@@ -10,13 +10,17 @@ families are provided:
 * ``EnvelopedSymbol`` -- a black-box evaluator together with a declared bound
   |phi(r)| <= C * exp(delta * r^2).
 
-``classify`` decides membership in four classes: the moment-integrable set
-(every weighted moment of |phi| finite), the class of symbols whose Toeplitz
+Every class question reads one fact, the growth bound
+|phi(r)| <= C exp(delta r^2) that ``RadialSymbol.growth`` returns:
+moment integrability needs delta < 1; the class of symbols whose Toeplitz
 operator contains all basis monomials in its natural domain, Folland's growth
-class (delta < 1/2), and Coburn's class (phi times every coherent-state kernel
-square-integrable).  Decisions for black-box symbols are driven by the declared
-envelope, never by samples: integrability cannot be decided from finitely many
-evaluations, so numeric moment checks are reported as evidence only.
+class and Coburn's class (phi times every coherent-state kernel
+square-integrable) need delta < 1/2.  ``membership`` makes that threshold
+decision and ``classify`` reports it for all four classes.  The bound is exact
+for the closed-form families and only declared for black boxes, so it decides
+their membership from the envelope, never from samples: integrability cannot be
+decided from finitely many evaluations, so numeric moment checks are reported
+as evidence only.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .codec import complex_from_json, complex_to_json
-from .errors import EnvelopeViolation
+from .errors import DivergentMoment, EnvelopeViolation
 
 # Log-magnitude floor below which a node cannot contribute to a double sum.
 _LOG_NEGLIGIBLE = -745.0
@@ -50,8 +54,31 @@ class RadialSymbol:
     def value(self, r: float) -> complex:
         raise NotImplementedError
 
+    def growth(self) -> tuple[float, bool]:
+        """(delta, exact): |phi(r)| <= C exp((delta + eps) r^2) for every eps > 0.
+
+        An exact delta is sharp, so it decides class membership both ways; a
+        declared delta is only an upper bound, which can certify membership but
+        never refute it.
+        """
+        raise NotImplementedError
+
+    def damped(self, t: np.ndarray, log_damp: np.ndarray) -> np.ndarray:
+        """phi(sqrt(t)) * exp(log_damp) on float arrays, fused so growing symbols
+        cannot overflow.
+
+        ``log_damp`` collects the logs of the positive quadrature factors
+        (weights, powers of t, inverse factorials).
+        """
+        raise NotImplementedError
+
     def to_json_obj(self) -> dict:
         raise NotImplementedError
+
+
+def _require_finite(what: str, *values: complex) -> None:
+    if not all(cmath.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite")
 
 
 @dataclass(frozen=True)
@@ -64,9 +91,17 @@ class GaussianRadialSymbol(RadialSymbol):
     def __post_init__(self):
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         object.__setattr__(self, "exponent", complex(self.exponent))
+        _require_finite("Gaussian amplitude and exponent", self.amplitude, self.exponent)
 
     def value(self, r: float) -> complex:
         return self.amplitude * cmath.exp(self.exponent * (r * r))
+
+    def growth(self) -> tuple[float, bool]:
+        return self.exponent.real, True
+
+    def damped(self, t: np.ndarray, log_damp: np.ndarray) -> np.ndarray:
+        # the growth exponent folds into the damping exponential
+        return self.amplitude * np.exp(log_damp + self.exponent * t)
 
     @property
     def gamma_parameter(self) -> complex:
@@ -95,9 +130,13 @@ def maxwell_boltzmann(beta: float) -> GaussianRadialSymbol:
     """Thermal-state symbol exp(beta/2) * exp((1 - e^beta) r^2) for inverse
     temperature beta > 0; its eigenvalue sequence is exp(-beta/2) exp(-beta n)."""
     beta = float(beta)
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("inverse temperature beta must be positive")
-    return GaussianRadialSymbol(amplitude=math.exp(beta / 2.0), exponent=1.0 - math.exp(beta))
+    try:
+        growth = math.exp(beta)
+    except OverflowError:
+        raise ValueError(f"inverse temperature beta = {beta!r} overflows exp(beta)") from None
+    return GaussianRadialSymbol(amplitude=math.exp(beta / 2.0), exponent=1.0 - growth)
 
 
 @dataclass(frozen=True)
@@ -112,6 +151,7 @@ class PolynomialRadialSymbol(RadialSymbol):
             coeffs.pop()
         if not coeffs:
             coeffs = [0j]
+        _require_finite("polynomial coefficients", *coeffs)
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @property
@@ -119,7 +159,16 @@ class PolynomialRadialSymbol(RadialSymbol):
         return len(self.coefficients) - 1
 
     def value(self, r: float) -> complex:
-        t = r * r
+        return self._horner(r * r)
+
+    def growth(self) -> tuple[float, bool]:
+        return 0.0, True
+
+    def damped(self, t: np.ndarray, log_damp: np.ndarray) -> np.ndarray:
+        return self._horner(t) * np.exp(log_damp)
+
+    def _horner(self, t):
+        """sum_m coefficients[m] * t^m for a scalar or an array t."""
         acc = 0j
         for c in reversed(self.coefficients):
             acc = acc * t + c
@@ -150,6 +199,7 @@ class EnvelopedSymbol(RadialSymbol):
     def __post_init__(self):
         object.__setattr__(self, "envelope_c", float(self.envelope_c))
         object.__setattr__(self, "envelope_delta", float(self.envelope_delta))
+        _require_finite("envelope constants", self.envelope_c, self.envelope_delta)
         if self.envelope_c <= 0:
             raise ValueError("envelope constant C must be positive")
         if self.evaluator is None and self.base is None:
@@ -165,6 +215,23 @@ class EnvelopedSymbol(RadialSymbol):
                 f"{self.envelope_c:.6g}*exp({self.envelope_delta:.6g}*r^2) = {bound:.6g}"
             )
         return v
+
+    def growth(self) -> tuple[float, bool]:
+        return self.envelope_delta, False
+
+    def damped(self, t: np.ndarray, log_damp: np.ndarray) -> np.ndarray:
+        # Nodes whose envelope bound makes the term negligible are skipped, and
+        # so are nodes where the declared bound itself exceeds double range: the
+        # black box is never asked for values where it may overflow.  For
+        # certified symbols (delta < 1, moderate moment order) the skipped mass
+        # is exponentially small; beyond that regime the doubling checks refuse
+        # the result.
+        out = np.zeros(t.shape, dtype=complex)
+        bound_log = math.log(self.envelope_c) + self.envelope_delta * t
+        keep = (log_damp + bound_log > _LOG_NEGLIGIBLE) & (bound_log < 705.0)
+        for i in np.nonzero(keep)[0]:
+            out[i] = self.value(math.sqrt(t[i])) * math.exp(log_damp[i])
+        return out
 
     def to_json_obj(self) -> dict:
         if self.base is None:
@@ -213,49 +280,51 @@ def eval_symbol(sym: RadialSymbol, r: float) -> complex:
 
 
 def radial_values(sym: RadialSymbol, r: np.ndarray) -> np.ndarray:
-    """Vectorized phi(r) on an array of radii (envelope-checked for black boxes)."""
+    """Vectorized phi(r) on an array of radii: ``damped`` with no damping."""
     r = np.asarray(r, dtype=float)
-    if isinstance(sym, GaussianRadialSymbol):
-        return sym.amplitude * np.exp(sym.exponent * (r * r))
-    if isinstance(sym, PolynomialRadialSymbol):
-        t = r * r
-        acc = np.zeros_like(t, dtype=complex)
-        for c in reversed(sym.coefficients):
-            acc = acc * t + c
-        return acc
-    return np.array([sym.value(float(x)) for x in r], dtype=complex)
+    return sym.damped(r * r, np.zeros_like(r))
 
 
 def damped_values(sym: RadialSymbol, t: np.ndarray, log_damp: np.ndarray) -> np.ndarray:
-    """phi(sqrt(t)) * exp(log_damp), fused so growing symbols cannot overflow.
+    """phi(sqrt(t)) * exp(log_damp); see ``RadialSymbol.damped``."""
+    return sym.damped(np.asarray(t, dtype=float), log_damp)
 
-    ``log_damp`` collects the logs of the positive quadrature factors (weights,
-    powers of t, inverse factorials).  For Gaussian symbols the growth exponent
-    is folded into the same exponential; for enveloped symbols nodes whose
-    envelope bound makes the term negligible are skipped so the black box is
-    never evaluated where it may overflow.
+
+_MOMENT_TEXT = {
+    Trivalent.YES: "< 1: every weighted moment of |phi| is finite",
+    Trivalent.NO: ">= 1: every weighted moment of |phi| diverges",
+    Trivalent.UNDECIDABLE: ">= 1: the envelope does not certify the weighted moments of |phi|",
+}
+_DECIDES = {
+    Trivalent.YES: "certifies",
+    Trivalent.NO: "refutes",
+    Trivalent.UNDECIDABLE: "can neither certify nor refute",
+}
+
+
+def _bound_text(sym: RadialSymbol) -> str:
+    delta, exact = sym.growth()
+    return f"{'exact' if exact else 'declared'} growth exponent delta = {delta:.6g}"
+
+
+def membership(sym: RadialSymbol, threshold: float) -> Trivalent:
+    """Is the growth exponent delta below ``threshold``?
+
+    YES when it is; otherwise NO for an exact bound and UNDECIDABLE for a
+    declared one, which cannot refute membership.
     """
-    t = np.asarray(t, dtype=float)
-    if isinstance(sym, GaussianRadialSymbol):
-        return sym.amplitude * np.exp(log_damp + sym.exponent * t)
-    if isinstance(sym, PolynomialRadialSymbol):
-        acc = np.zeros_like(t, dtype=complex)
-        for c in reversed(sym.coefficients):
-            acc = acc * t + c
-        return acc * np.exp(log_damp)
-    if isinstance(sym, EnvelopedSymbol):
-        out = np.zeros(t.shape, dtype=complex)
-        bound_log = math.log(sym.envelope_c) + sym.envelope_delta * t
-        # Second clause: never ask the black box for values where its own
-        # declared bound exceeds double range.  For certified symbols
-        # (delta < 1, moderate moment order) the skipped mass is exponentially
-        # small; beyond that regime the doubling checks refuse the result.
-        keep = (log_damp + bound_log > _LOG_NEGLIGIBLE) & (bound_log < 705.0)
-        idx = np.nonzero(keep)[0]
-        for i in idx:
-            out[i] = sym.value(math.sqrt(t[i])) * math.exp(log_damp[i])
-        return out
-    raise TypeError(f"unsupported symbol type {type(sym).__name__}")
+    delta, exact = sym.growth()
+    if delta < threshold:
+        return Trivalent.YES
+    return Trivalent.NO if exact else Trivalent.UNDECIDABLE
+
+
+def require_moments(sym: RadialSymbol) -> None:
+    """Raise ``DivergentMoment`` unless delta < 1 certifies every weighted
+    moment of |phi|, which eigenvalues and matrix elements need."""
+    verdict = membership(sym, 1.0)
+    if verdict is not Trivalent.YES:
+        raise DivergentMoment(f"{_bound_text(sym)} {_MOMENT_TEXT[verdict]}")
 
 
 @dataclass(frozen=True)
@@ -293,73 +362,34 @@ class ClassificationReport:
 
 
 def classify(sym: RadialSymbol, m_max: int = 8) -> ClassificationReport:
-    """Decide symbol-class membership; exact for the closed-form families.
+    """Decide symbol-class membership from ``sym.growth()`` alone.
 
-    Gaussian: moment integrability iff Re(exponent) < 1; the three operator
-    classes coincide and hold iff Re(exponent) < 1/2.  Polynomial: member of
-    everything.  Enveloped: decided from the declared envelope alone; with
-    delta >= 1/2 the operator classes are undecidable and numeric moments up to
-    ``m_max`` are attached as evidence.
+    Moment integrability holds iff delta < 1; the three operator classes
+    coincide for a radial growth bound and hold iff delta < 1/2.  Exact for the
+    closed-form families; for a declared envelope with delta >= 1/2 the
+    operator classes are undecidable and numeric moments up to ``m_max`` are
+    attached as evidence.
     """
     m_max = int(m_max)
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-
-    if isinstance(sym, GaussianRadialSymbol):
-        re_sigma = sym.exponent.real
-        l1 = re_sigma < 1.0
-        member = Trivalent.YES if re_sigma < 0.5 else Trivalent.NO
-        reasons = {
-            "l1_inf": (
-                f"Re(exponent) = {re_sigma:.6g} "
-                + ("< 1: every weighted moment of |phi| is finite" if l1 else ">= 1: every weighted moment diverges")
-            ),
-            "p": (
-                f"Re(exponent) = {re_sigma:.6g} "
-                + ("< 1/2: |phi u_n|^2 is integrable for every n" if member is Trivalent.YES
-                   else ">= 1/2: |phi u_0|^2 already fails to be integrable")
-            ),
-            "folland": f"|phi(r)| = |c| exp({re_sigma:.6g} r^2): growth bound "
-            + ("admits delta < 1/2" if member is Trivalent.YES else "requires delta >= 1/2"),
-            "coburn": "for Gaussian symbols the coherent-kernel test matches the Folland bound",
-        }
-        return ClassificationReport(l1, m_max if l1 else -1, member, member, member, reasons)
-
-    if isinstance(sym, PolynomialRadialSymbol):
-        reasons = {
-            "l1_inf": "polynomial growth: all weighted moments finite",
-            "p": "polynomial times any monomial is square-integrable against the Gaussian weight",
-            "folland": "polynomials satisfy |phi| <= C exp(delta r^2) for every delta > 0",
-            "coburn": "implied by the Folland bound",
-        }
-        return ClassificationReport(True, m_max, Trivalent.YES, Trivalent.YES, Trivalent.YES, reasons)
-
-    if isinstance(sym, EnvelopedSymbol):
-        delta = sym.envelope_delta
-        l1 = delta < 1.0
-        if delta < 0.5:
-            member = Trivalent.YES
-            class_reason = f"declared envelope delta = {delta:.6g} < 1/2 certifies membership"
-        else:
-            member = Trivalent.UNDECIDABLE
-            class_reason = (
-                f"declared envelope delta = {delta:.6g} >= 1/2: an upper bound cannot certify or "
-                "refute membership"
-            )
-        reasons = {
-            "l1_inf": f"envelope delta = {delta:.6g} "
-            + ("< 1 certifies all weighted moments" if l1 else ">= 1: moments not certified by the envelope"),
-            "p": class_reason,
-            "folland": class_reason,
-            "coburn": class_reason,
-            "evidence": _moment_evidence(sym, m_max),
-        }
-        return ClassificationReport(l1, m_max if l1 else -1, member, member, member, reasons)
-
-    raise TypeError(f"unsupported symbol type {type(sym).__name__}")
+    bound = _bound_text(sym)
+    moments = membership(sym, 1.0)
+    member = membership(sym, 0.5)
+    decides = f"{bound} {_DECIDES[member]}"
+    reasons = {
+        "l1_inf": f"{bound} {_MOMENT_TEXT[moments]}",
+        "p": f"{decides} basis-domain membership: |phi u_n|^2 is integrable for every n when delta < 1/2",
+        "folland": f"{decides} Folland's growth condition delta < 1/2",
+        "coburn": f"{decides} Coburn's coherent-kernel condition, which also needs delta < 1/2",
+    }
+    if member is Trivalent.UNDECIDABLE:
+        reasons["evidence"] = _moment_evidence(sym, m_max)
+    l1 = moments is Trivalent.YES
+    return ClassificationReport(l1, m_max if l1 else -1, member, member, member, reasons)
 
 
-def _moment_evidence(sym: EnvelopedSymbol, m_max: int) -> str:
+def _moment_evidence(sym: RadialSymbol, m_max: int) -> str:
     # Numeric evidence only; finite samples never decide integrability.
     from .spectra import QuadratureSpec, absolute_moment
 

@@ -7,6 +7,17 @@ from bargmann_toeplitz.cli import main, parse_complex_literal, parse_poly_spec, 
 from bargmann_toeplitz.symbols import GaussianRadialSymbol
 
 
+GAUSSIAN_JSON = '{"kind": "gaussian", "amplitude": 2, "exponent": -1}'
+NAN_ENVELOPE = (
+    '{"kind": "enveloped", "envelope_c": NaN, "envelope_delta": 0.0, "base": %s}' % GAUSSIAN_JSON
+)
+DEEP_ENVELOPE = (
+    '{"kind": "enveloped", "envelope_c": 2.0, "envelope_delta": 0.0, "base": ' * 1500
+    + GAUSSIAN_JSON
+    + "}" * 1500
+)
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -182,6 +193,23 @@ class TestExitCodes:
         code, _, err = run_cli(["classify", "--symbol", "nonsense"], capsys)
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--symbol", "mb:nan"],
+            ["spectrum", "--symbol", "mb:1000"],
+            ["classify", "--symbol", NAN_ENVELOPE],
+            ["classify", "--symbol", DEEP_ENVELOPE],
+            ["verify", "--symbol", "gamma:2", "--tol", "nan"],
+        ],
+        ids=["mb_nan", "mb_overflow", "nan_envelope", "deep_nesting", "nan_tol"],
+    )
+    def test_bad_input_is_exit_1(self, args, capsys):
+        code, out, err = run_cli(args + ["--no-timestamp"], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert set(json.loads(err)["error"]) == {"type", "message"}
 
     def test_divergent_moment_is_exit_2(self, capsys):
         code, _, err = run_cli(["spectrum", "--symbol", "gamma:-1", "--n", "3"], capsys)

@@ -61,8 +61,6 @@ class TestLaguerreRule:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(4, kind="gauss_hermite")
         assert QuadratureSpec(4).doubled().node_count == 8
 
 

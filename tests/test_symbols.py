@@ -13,9 +13,11 @@ from bargmann_toeplitz import (
     GaussianRadialSymbol,
     PolynomialRadialSymbol,
     Trivalent,
+    basis_polynomial,
     classify,
     eval_symbol,
     gamma,
+    in_natural_domain,
     maxwell_boltzmann,
     symbol_from_json,
     symbol_to_json,
@@ -90,6 +92,24 @@ class TestConstructors:
         assert sym.degree == 1
         assert PolynomialRadialSymbol((0.0, 0.0)).coefficients == (0j,)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gamma(complex("nan")),
+            lambda: GaussianRadialSymbol(amplitude=1.0, exponent=float("inf")),
+            lambda: PolynomialRadialSymbol((1.0, float("nan"))),
+            lambda: EnvelopedSymbol(None, float("nan"), 0.0, base=gamma(2.0)),
+            lambda: EnvelopedSymbol(None, 1.0, float("inf"), base=gamma(2.0)),
+            lambda: maxwell_boltzmann(float("nan")),
+            lambda: maxwell_boltzmann(1000.0),
+        ],
+        ids=["gamma_nan", "gaussian_inf", "polynomial_nan", "envelope_c_nan",
+             "envelope_delta_inf", "mb_nan", "mb_overflow"],
+    )
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestClassification:
     def test_coburn_family_member(self):
@@ -119,6 +139,16 @@ class TestClassification:
         sym = EnvelopedSymbol(evaluator=None, envelope_c=2.0, envelope_delta=0.3, base=gamma(2.0))
         report = classify(sym)
         assert report.in_p is Trivalent.YES
+
+    def test_certified_envelope_decides_without_evaluating(self):
+        def refuse(r):
+            raise AssertionError("a certified class decision must not sample the symbol")
+
+        sym = EnvelopedSymbol(evaluator=refuse, envelope_c=1.0, envelope_delta=0.3)
+        report = classify(sym)
+        assert report.in_p is Trivalent.YES
+        assert "evidence" not in report.reasons
+        assert in_natural_domain(sym, basis_polynomial(3)) is Trivalent.YES
 
     def test_enveloped_large_delta_undecidable(self):
         sym = EnvelopedSymbol(evaluator=None, envelope_c=1.0, envelope_delta=0.7, base=gamma(0.5))
