@@ -38,6 +38,8 @@ from .symbols import (
 
 REPORT_SCHEMA = "bt-report/1"
 ENV_DEFAULT_NODES = "BT_DEFAULT_NODES"
+# Largest rule benchmarked; the rule build is quadratic in the node count.
+MAX_NODES = 3200
 
 
 def parse_complex_literal(text: str) -> complex:
@@ -95,8 +97,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if self.nodes < 1:
-            raise ValueError("nodes must be >= 1")
+        if not 1 <= self.nodes <= MAX_NODES:
+            raise ValueError(f"nodes must be between 1 and {MAX_NODES}")
         if self.n_max < 0 or self.m_max < 0:
             raise ValueError("n and m-max must be >= 0")
 
@@ -131,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", dest="n_max", type=int, default=n_default,
                        help="largest basis index / sequence length - 1")
         p.add_argument("--nodes", type=int, default=default_nodes,
-                       help=f"radial quadrature nodes (default {default_nodes}, env {ENV_DEFAULT_NODES})")
+                       help=f"radial quadrature nodes, 1..{MAX_NODES} "
+                            f"(default {default_nodes}, env {ENV_DEFAULT_NODES})")
         p.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
         p.add_argument("--output", default="-", help="output path, - for stdout")
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="json")

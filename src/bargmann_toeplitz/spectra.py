@@ -152,12 +152,51 @@ def laguerre_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     return _laguerre_rule(spec.node_count)
 
 
-def _moment_once(sym: RadialSymbol, n: int, spec: QuadratureSpec) -> complex:
+# Orders per batched pass: memory stays O(block x nodes) for any requested order.
+_ORDER_BLOCK = 64
+
+
+def _order_blocks(orders: range):
+    for start in range(0, len(orders), _ORDER_BLOCK):
+        yield orders[start:start + _ORDER_BLOCK]
+
+
+def _damped_rows(
+    sym: RadialSymbol, powers: np.ndarray, shifts: np.ndarray, spec: QuadratureSpec
+) -> np.ndarray:
+    """Terms phi(sqrt t_j) w_j t_j^powers[i] exp(-shifts[i]) over the nodes of
+    positive weight, one row per i, from a single ``damped`` call.
+
+    Every element is formed with the arithmetic of a one-row call, so a row
+    does not depend on the others.
+    """
     nodes, weights = laguerre_nodes(spec)
     mask = weights > 0
     t = nodes[mask]
-    log_damp = np.log(weights[mask]) + n * np.log(t) - math.lgamma(n + 1)
-    return complex(np.sum(sym.damped(t, log_damp)))
+    log_damp = np.log(weights[mask]) + np.multiply.outer(powers, np.log(t)) - shifts[:, None]
+    return sym.damped(t, log_damp)
+
+
+def _moments(sym: RadialSymbol, orders: range, spec: QuadratureSpec) -> list[complex]:
+    """Gauss-Laguerre phi_n for every n in ``orders`` from one pass over the rule."""
+    shifts = np.array([math.lgamma(n + 1) for n in orders])
+    rows = _damped_rows(sym, np.array(orders, dtype=float), shifts, spec)
+    return np.sum(rows, axis=1).tolist()
+
+
+def _accepted_moments(
+    sym: RadialSymbol, orders: range, spec: QuadratureSpec, tol: float
+) -> list[complex]:
+    coarse = _moments(sym, orders, spec)
+    fine = _moments(sym, orders, spec.doubled())
+    for n, c, f in zip(orders, coarse, fine):
+        # inverted comparison so non-finite results cannot slip through
+        if not (abs(c - f) <= tol):
+            raise NonConvergent(
+                f"phi_{n} quadrature at {spec.node_count} and {2 * spec.node_count} nodes "
+                f"differs by {abs(c - f):.3g} > tol {tol:.3g}"
+            )
+    return fine
 
 
 def quadrature_eigen(
@@ -168,15 +207,26 @@ def quadrature_eigen(
     if n < 0:
         raise ValueError("n must be >= 0")
     require_moments(sym)
-    coarse = _moment_once(sym, n, spec)
-    fine = _moment_once(sym, n, spec.doubled())
-    # inverted comparison so non-finite results cannot slip through
-    if not (abs(coarse - fine) <= tol):
-        raise NonConvergent(
-            f"phi_{n} quadrature at {spec.node_count} and {2 * spec.node_count} nodes differs by "
-            f"{abs(coarse - fine):.3g} > tol {tol:.3g}"
+    return _accepted_moments(sym, range(n, n + 1), spec, tol)[0]
+
+
+def absolute_moments(
+    sym: RadialSymbol, orders: range, spec: QuadratureSpec
+) -> list[tuple[float, float]]:
+    """``absolute_moment`` for every m in ``orders``, each rule evaluating the
+    symbol once per node."""
+    if orders and min(orders) < 0:
+        raise ValueError("m must be >= 0")
+    out = []
+    for block in _order_blocks(orders):
+        powers = 0.5 * (np.array(block, dtype=float) - 1)
+        shifts = np.full(len(block), math.log(2.0))
+        coarse, fine = (
+            np.sum(np.abs(_damped_rows(sym, powers, shifts, s)), axis=1)
+            for s in (spec, spec.doubled())
         )
-    return fine
+        out += zip(fine.tolist(), np.abs(fine - coarse).tolist())
+    return out
 
 
 def absolute_moment(
@@ -186,18 +236,7 @@ def absolute_moment(
 
     Evidence helper for classification reports; never a convergence verdict.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-
-    def once(s: QuadratureSpec) -> float:
-        nodes, weights = laguerre_nodes(s)
-        mask = weights > 0
-        t = nodes[mask]
-        log_damp = np.log(weights[mask]) + 0.5 * (m - 1) * np.log(t) - math.log(2.0)
-        return float(np.sum(np.abs(sym.damped(t, log_damp))))
-
-    coarse, fine = once(spec), once(spec.doubled())
-    return fine, abs(fine - coarse)
+    return absolute_moments(sym, range(m, m + 1), spec)[0]
 
 
 def _rising_product(n: int, m: int) -> float:
@@ -219,7 +258,8 @@ def eigen_sequence(
     Gaussian (c, sigma): phi_n = c * (1-sigma)^-(n+1), built by repeated
     multiplication with the stored geometric ratio (no logarithm branch cuts);
     requires Re(1-sigma) > 0.  Polynomial sum p_m r^(2m): phi_n =
-    sum_m p_m (n+m)!/n!.  Black-box symbols fall back to quadrature.
+    sum_m p_m (n+m)!/n!.  Black-box symbols fall back to quadrature, which
+    evaluates them once per node of each rule for every block of 64 orders.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -227,6 +267,8 @@ def eigen_sequence(
     if isinstance(sym, GaussianRadialSymbol):
         require_moments(sym)
         pole = 1.0 - sym.exponent
+        if not pole:  # passes require_moments only for the zero symbol
+            return EigenSequence((0j,) * (n_max + 1), CLOSED_FORM, GeometricTail(0j))
         ratio = 1.0 / pole
         values = [sym.amplitude / pole]
         for _ in range(n_max):
@@ -240,5 +282,8 @@ def eigen_sequence(
         return EigenSequence(tuple(values), CLOSED_FORM, None)
 
     spec = spec if spec is not None else QuadratureSpec()
-    values = tuple(quadrature_eigen(sym, n, spec, tol) for n in range(n_max + 1))
-    return EigenSequence(values, QUADRATURE, None)
+    require_moments(sym)
+    values = []
+    for block in _order_blocks(range(n_max + 1)):
+        values += _accepted_moments(sym, block, spec, tol)
+    return EigenSequence(tuple(values), QUADRATURE, None)

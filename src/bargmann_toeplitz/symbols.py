@@ -33,11 +33,14 @@ from typing import Callable
 
 import numpy as np
 
-from .codec import complex_from_json, complex_to_json
+from .codec import complex_from_json, complex_to_json, real_from_json
 from .errors import DivergentMoment, EnvelopeViolation
 
 # Log-magnitude floor below which a node cannot contribute to a double sum.
 _LOG_NEGLIGIBLE = -745.0
+# Elementwise math.exp: libm's exp, which np.exp differs from by an ulp on some
+# arguments.
+_exact_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 class Trivalent(Enum):
@@ -67,8 +70,10 @@ class RadialSymbol:
         """phi(sqrt(t)) * exp(log_damp) on float arrays, fused so growing symbols
         cannot overflow.
 
-        ``log_damp`` collects the logs of the positive quadrature factors
-        (weights, powers of t, inverse factorials).
+        ``t`` holds the nodes.  ``log_damp`` collects the logs of the positive
+        quadrature factors (weights, powers of t, inverse factorials) and
+        broadcasts against ``t``: it may carry a leading axis of orders, one
+        row per moment, and the result has its shape.
         """
         raise NotImplementedError
 
@@ -97,9 +102,12 @@ class GaussianRadialSymbol(RadialSymbol):
         return self.amplitude * cmath.exp(self.exponent * (r * r))
 
     def growth(self) -> tuple[float, bool]:
-        return self.exponent.real, True
+        # amplitude 0 is the zero symbol, which lies in every class
+        return (self.exponent.real if self.amplitude else -math.inf), True
 
     def damped(self, t: np.ndarray, log_damp: np.ndarray) -> np.ndarray:
+        if not self.amplitude:  # the zero symbol, whose exponent may overflow exp
+            return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(log_damp)), dtype=complex)
         # the growth exponent folds into the damping exponential
         return self.amplitude * np.exp(log_damp + self.exponent * t)
 
@@ -226,11 +234,16 @@ class EnvelopedSymbol(RadialSymbol):
         # certified symbols (delta < 1, moderate moment order) the skipped mass
         # is exponentially small; beyond that regime the doubling checks refuse
         # the result.
-        out = np.zeros(t.shape, dtype=complex)
+        # The black box runs once per node that any row keeps; each kept term
+        # is the scalar product value * math.exp, as for a single row.
         bound_log = math.log(self.envelope_c) + self.envelope_delta * t
         keep = (log_damp + bound_log > _LOG_NEGLIGIBLE) & (bound_log < 705.0)
-        for i in np.nonzero(keep)[0]:
-            out[i] = self.value(math.sqrt(t[i])) * math.exp(log_damp[i])
+        phi = np.empty(t.shape, dtype=object)
+        for j in np.nonzero(keep.reshape(-1, t.size).any(axis=0))[0]:
+            phi[j] = self.value(math.sqrt(t[j]))
+        kept = np.nonzero(keep)
+        out = np.zeros(keep.shape, dtype=complex)
+        out[kept] = phi[kept[-1]] * _exact_exp(np.broadcast_to(log_damp, keep.shape)[kept])
         return out
 
     def to_json_obj(self) -> dict:
@@ -264,8 +277,8 @@ def symbol_from_json(obj: dict) -> RadialSymbol:
             raise ValueError("enveloped symbol JSON requires a 'base' symbol for evaluation")
         return EnvelopedSymbol(
             evaluator=None,
-            envelope_c=float(obj["envelope_c"]),
-            envelope_delta=float(obj["envelope_delta"]),
+            envelope_c=real_from_json(obj["envelope_c"]),
+            envelope_delta=real_from_json(obj["envelope_delta"]),
             base=symbol_from_json(obj["base"]),
         )
     raise ValueError(f"unknown symbol kind {kind!r}")
@@ -391,15 +404,11 @@ def classify(sym: RadialSymbol, m_max: int = 8) -> ClassificationReport:
 
 def _moment_evidence(sym: RadialSymbol, m_max: int) -> str:
     # Numeric evidence only; finite samples never decide integrability.
-    from .spectra import QuadratureSpec, absolute_moment
+    from .spectra import QuadratureSpec, absolute_moments
 
-    spec = QuadratureSpec(200)
-    checked = []
-    for m in range(m_max + 1):
-        value, disagreement = absolute_moment(sym, m, spec)
-        checked.append((m, value, disagreement))
-    worst = max((d for _, _, d in checked), default=0.0)
-    largest = max((v for _, v, _ in checked), default=0.0)
+    checked = absolute_moments(sym, range(m_max + 1), QuadratureSpec(200))
+    worst = max((d for _, d in checked), default=0.0)
+    largest = max((v for v, _ in checked), default=0.0)
     return (
         f"numeric |phi| moments m <= {m_max}: largest value {largest:.6g}, worst 200-vs-400-node "
         f"disagreement {worst:.3g} (evidence only, not a verdict)"

@@ -11,6 +11,9 @@ GAUSSIAN_JSON = '{"kind": "gaussian", "amplitude": 2, "exponent": -1}'
 NAN_ENVELOPE = (
     '{"kind": "enveloped", "envelope_c": NaN, "envelope_delta": 0.0, "base": %s}' % GAUSSIAN_JSON
 )
+HUGE = "9" * 400  # an integer beyond double range
+HUGE_AMPLITUDE = '{"kind": "gaussian", "amplitude": %s, "exponent": 0}' % HUGE
+HUGE_RE = '{"kind": "gaussian", "amplitude": {"re": %s}, "exponent": 0}' % HUGE
 DEEP_ENVELOPE = (
     '{"kind": "enveloped", "envelope_c": 2.0, "envelope_delta": 0.0, "base": ' * 1500
     + GAUSSIAN_JSON
@@ -202,8 +205,12 @@ class TestExitCodes:
             ["classify", "--symbol", NAN_ENVELOPE],
             ["classify", "--symbol", DEEP_ENVELOPE],
             ["verify", "--symbol", "gamma:2", "--tol", "nan"],
+            ["spectrum", "--symbol", HUGE_AMPLITUDE],
+            ["spectrum", "--symbol", HUGE_RE],
+            ["spectrum", "--symbol", "gamma:2", "--nodes", "3201"],
         ],
-        ids=["mb_nan", "mb_overflow", "nan_envelope", "deep_nesting", "nan_tol"],
+        ids=["mb_nan", "mb_overflow", "nan_envelope", "deep_nesting", "nan_tol",
+             "huge_int", "huge_re", "nodes_above_bound"],
     )
     def test_bad_input_is_exit_1(self, args, capsys):
         code, out, err = run_cli(args + ["--no-timestamp"], capsys)

@@ -9,6 +9,7 @@ from bargmann_toeplitz import (
     DivergentMoment,
     EigenSequence,
     EnvelopedSymbol,
+    EnvelopeViolation,
     GaussianRadialSymbol,
     NonConvergent,
     PolynomialRadialSymbol,
@@ -19,9 +20,15 @@ from bargmann_toeplitz import (
     maxwell_boltzmann,
     quadrature_eigen,
 )
-from bargmann_toeplitz.spectra import CLOSED_FORM, QUADRATURE
+from bargmann_toeplitz.spectra import CLOSED_FORM, QUADRATURE, absolute_moment, absolute_moments
 
 from conftest import bounded_boundary_symbol
+from support import (
+    counting_twin,
+    scalar_absolute_moment,
+    scalar_quadrature_eigen,
+    weighted_node_count,
+)
 
 
 class TestLaguerreRule:
@@ -104,6 +111,11 @@ class TestClosedForm:
         with pytest.raises(DivergentMoment):
             eigen_sequence(GaussianRadialSymbol(1.0, 1.0), 3)
 
+    def test_zero_symbol_at_the_pole(self):
+        # exponent 1 makes the closed form's pole 0; amplitude 0 makes phi = 0
+        seq = eigen_sequence(GaussianRadialSymbol(0.0, 1.0), 3)
+        assert seq.values == (0j,) * 4
+
     def test_linearity_on_polynomials(self):
         alpha, beta = 2.0 - 1.0j, 0.5 + 0.25j
         p = PolynomialRadialSymbol((1.0, 0.0, 3.0))
@@ -184,6 +196,49 @@ class TestQuadrature:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             quadrature_eigen(gamma(2.0), -1, QuadratureSpec(16))
+
+
+class TestBlackBoxPass:
+    def test_each_node_evaluated_once_per_rule(self):
+        sym, evaluator = counting_twin(1.5)
+        spec = QuadratureSpec(200)
+        eigen_sequence(sym, 32, spec)
+        assert 0 < evaluator.calls <= weighted_node_count(spec) + weighted_node_count(spec.doubled())
+
+    @pytest.mark.parametrize("k", [1.5, 0.8 - 0.3j, 2.2 + 0.5j])
+    @pytest.mark.parametrize("node_count", [64, 200])
+    def test_values_equal_scalar_reference(self, k, node_count):
+        # 70 orders span two blocks of the pass
+        sym, _ = counting_twin(k)
+        spec = QuadratureSpec(node_count)
+        seq = eigen_sequence(sym, 70, spec, tol=1e-6)
+        assert seq.values == tuple(scalar_quadrature_eigen(sym, n, spec, 1e-6) for n in range(71))
+        for n in (0, 17, 64):
+            assert quadrature_eigen(sym, n, spec, 1e-6) == scalar_quadrature_eigen(sym, n, spec, 1e-6)
+
+    def test_absolute_moments_equal_scalar_reference(self):
+        sym, _ = counting_twin(0.3 + 0.2j)
+        spec = QuadratureSpec(200)
+        expected = [scalar_absolute_moment(sym, m, spec) for m in range(9)]
+        assert absolute_moments(sym, range(9), spec) == expected
+        assert absolute_moment(sym, 5, spec) == expected[5]
+
+    def test_first_failing_order_named(self):
+        # phi_44 is the first order whose gap exceeds 1e-10 at 64 vs 128 nodes
+        sym, _ = counting_twin(0.8 - 0.3j)
+        spec = QuadratureSpec(64)
+        with pytest.raises(NonConvergent) as expected:
+            for n in range(71):
+                scalar_quadrature_eigen(sym, n, spec, 1e-10)
+        with pytest.raises(NonConvergent) as raised:
+            eigen_sequence(sym, 70, spec)
+        assert str(raised.value) == str(expected.value)
+
+    def test_lying_evaluator_still_raises(self):
+        # |phi| reaches 1e9 beyond r = 3 under a declared bound of 1
+        sym = EnvelopedSymbol(lambda r: 1.0 if r < 3.0 else 1e9, 1.0, 0.0)
+        with pytest.raises(EnvelopeViolation):
+            eigen_sequence(sym, 10, QuadratureSpec(50))
 
 
 class TestEigenSequenceType:

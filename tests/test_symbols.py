@@ -12,9 +12,11 @@ from bargmann_toeplitz import (
     EnvelopeViolation,
     GaussianRadialSymbol,
     PolynomialRadialSymbol,
+    QuadratureSpec,
     Trivalent,
     basis_polynomial,
     classify,
+    equivalence_report,
     eval_symbol,
     gamma,
     in_natural_domain,
@@ -24,6 +26,7 @@ from bargmann_toeplitz import (
 )
 
 from conftest import bounded_boundary_symbol
+from support import counting_twin, weighted_node_count
 
 
 class TestEvaluation:
@@ -158,6 +161,28 @@ class TestClassification:
         assert report.in_folland is Trivalent.UNDECIDABLE
         assert report.in_coburn is Trivalent.UNDECIDABLE
         assert "evidence" in report.reasons
+
+    def test_evidence_evaluates_each_node_once_per_rule(self):
+        # delta = 0.7 leaves membership undecidable, so nine moments are sampled
+        sym, evaluator = counting_twin(0.3 + 0.2j)
+        report = classify(sym)
+        assert "evidence" in report.reasons
+        spec = QuadratureSpec(200)  # 199 + 319 = 518 weighted nodes at 200 and 400
+        assert 0 < evaluator.calls <= weighted_node_count(spec) + weighted_node_count(spec.doubled())
+
+    def test_lying_evaluator_raises_in_evidence(self):
+        sym = EnvelopedSymbol(lambda r: 2.0 * math.exp(-r * r), 1.0, 0.7)
+        with pytest.raises(EnvelopeViolation):
+            classify(sym)
+
+    @pytest.mark.parametrize("exponent", [0.7, 5.0])
+    def test_zero_amplitude_is_in_every_class(self, exponent):
+        # exp(5 t) overflows on the grid; the zero symbol must not become 0 * inf
+        sym = GaussianRadialSymbol(0.0, exponent)
+        assert sym.growth() == (-math.inf, True)
+        report = classify(sym)
+        assert report.in_p is report.in_folland is report.in_coburn is Trivalent.YES
+        assert equivalence_report(sym, 6).verdict == "equivalent"
 
     def test_enveloped_delta_above_one_not_certified(self):
         sym = EnvelopedSymbol(evaluator=None, envelope_c=1.0, envelope_delta=1.2, base=gamma(0.5))
