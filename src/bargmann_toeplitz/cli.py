@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -25,7 +24,7 @@ from .composition import compose_gaussian, compose_radial
 from .errors import DivergentMoment, DomainViolation, NonConvergent
 from .operators import equivalence_report, toeplitz_apply
 from .spaces import FockPolynomial, polynomial_from_json
-from .spectra import QuadratureSpec, eigen_sequence
+from .spectra import DEFAULT_NODE_COUNT, QuadratureSpec, eigen_sequence
 from .symbols import (
     GaussianRadialSymbol,
     RadialSymbol,
@@ -37,8 +36,9 @@ from .symbols import (
 )
 
 REPORT_SCHEMA = "bt-report/1"
-ENV_DEFAULT_NODES = "BT_DEFAULT_NODES"
-# Largest rule benchmarked; the rule build is quadratic in the node count.
+# Largest rule benchmarked.  The rule build costs about Q x (the nodes seeded
+# below t = 800, roughly (2/pi) sqrt(800 Q)), not Q^2: far seeds are dropped
+# unpolished because their weights underflow.
 MAX_NODES = 3200
 
 
@@ -88,7 +88,7 @@ class RunConfig:
     poly: str | None = None
     n_max: int = 16
     m_max: int = 8
-    nodes: int = 200
+    nodes: int = DEFAULT_NODE_COUNT
     tol: float = 1e-8
     output: str = "-"
     fmt: str = "json"
@@ -121,9 +121,16 @@ class RunConfig:
         return obj
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``ValueError`` so ``main`` reports them as one JSON
+    line with exit code 1; argparse would print usage text and exit 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    default_nodes = int(os.environ.get(ENV_DEFAULT_NODES, "200"))
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bargmann-toeplitz",
         description="Radial Toeplitz operators as diagonal operators on l2.",
     )
@@ -132,9 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, n_default: int = 16):
         p.add_argument("--n", dest="n_max", type=int, default=n_default,
                        help="largest basis index / sequence length - 1")
-        p.add_argument("--nodes", type=int, default=default_nodes,
-                       help=f"radial quadrature nodes, 1..{MAX_NODES} "
-                            f"(default {default_nodes}, env {ENV_DEFAULT_NODES})")
+        p.add_argument("--nodes", type=int, default=DEFAULT_NODE_COUNT,
+                       help=f"radial quadrature nodes, 1..{MAX_NODES} (default {DEFAULT_NODE_COUNT})")
         p.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
         p.add_argument("--output", default="-", help="output path, - for stdout")
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="json")
@@ -329,13 +335,8 @@ def _emit_error(exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-
-    try:
+        args = build_parser().parse_args(argv)
         cfg = RunConfig(
             command=args.command,
             symbol=getattr(args, "symbol", None),
@@ -351,6 +352,10 @@ def main(argv=None) -> int:
             timestamp=args.timestamp,
         )
         body = run(cfg)
+        if cfg.output != "-":
+            Path(cfg.output).write_text(body, encoding="utf-8")
+    except SystemExit as exc:  # --help; usage errors raise ValueError
+        return 0 if exc.code in (0, None) else 1
     except (DivergentMoment, DomainViolation) as exc:
         _emit_error(exc)
         return 2
@@ -363,8 +368,6 @@ def main(argv=None) -> int:
 
     if cfg.output == "-":
         sys.stdout.write(body)
-    else:
-        Path(cfg.output).write_text(body, encoding="utf-8")
     return 0
 
 

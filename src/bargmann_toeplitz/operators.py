@@ -92,9 +92,7 @@ def anti_wick_matrix_element(
     angular = angular_count_for(max(m, n))
 
     def once(s: QuadratureSpec) -> complex:
-        nodes, weights = laguerre_nodes(s)
-        mask = weights > 0
-        t, w = nodes[mask], weights[mask]
+        t, w = laguerre_nodes(s)
         log_damp = (
             np.log(w)
             + 0.5 * (m + n) * np.log(t)

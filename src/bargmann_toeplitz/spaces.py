@@ -27,6 +27,11 @@ def _inv_sqrt_factorial(n: int) -> float:
     return math.exp(-0.5 * math.lgamma(n + 1))
 
 
+# 1/sqrt(n!) is a normal double up to n = 300; beyond, the monomial view loses
+# digits and from n = 314 it is 0.
+MAX_EVALUATED_DEGREE = 300
+
+
 @dataclass(frozen=True)
 class FockPolynomial:
     """sum_n u_coeffs[n] * u_n(z) with u_n(z) = z^n / sqrt(n!)."""
@@ -51,7 +56,17 @@ class FockPolynomial:
         return tuple(c * _inv_sqrt_factorial(n) for n, c in enumerate(self.u_coeffs))
 
     def evaluate(self, z):
-        """Value at z (scalar or array), by Horner on the monomial view."""
+        """Value at z (scalar or array), by Horner on the monomial view.
+
+        Raises ``ValueError`` for a nonzero coefficient beyond degree
+        ``MAX_EVALUATED_DEGREE``, whose monomial coefficient is not a normal
+        double, rather than returning a value that has lost it.
+        """
+        if any(self.u_coeffs[MAX_EVALUATED_DEGREE + 1:]):
+            raise ValueError(
+                f"cannot evaluate a nonzero u_n coefficient with n > {MAX_EVALUATED_DEGREE}: "
+                "1/sqrt(n!) is not a normal double"
+            )
         z = np.asarray(z, dtype=complex)
         acc = np.zeros_like(z)
         for a in reversed(self.monomial_coeffs()):
@@ -151,9 +166,7 @@ def polar_grid(spec: QuadratureSpec, angular_count: int) -> PolarGrid:
     """Gauss-Laguerre x uniform-angle grid for (1/pi) integral f(z) e^{-|z|^2} d^2 z."""
     if angular_count < 1:
         raise ValueError("angular_count must be >= 1")
-    nodes, weights = laguerre_nodes(spec)
-    mask = weights > 0
-    t, w = nodes[mask], weights[mask]
+    t, w = laguerre_nodes(spec)
     theta = 2.0 * np.pi * np.arange(angular_count) / angular_count
     points = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
     return PolarGrid(t=t, radial_weights=w, points=points, angular_count=angular_count)

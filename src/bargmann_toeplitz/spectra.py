@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .codec import complex_to_json, sequence_csv
 from .errors import NonConvergent
@@ -112,18 +111,29 @@ def _scaled_laguerre(order: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return current, lower
 
 
+# Gauss-Laguerre weights decay like exp(-t) and underflow to 0 in double
+# precision from t ~ 746; a node seeded at or beyond this bound never carries
+# weight (exp(-800) ~ 4e-348), so it is dropped without being polished.
+_POLISH_BELOW = 800.0
+
+
 @lru_cache(maxsize=32)
 def _laguerre_rule(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     if node_count == 1:
         nodes = np.array([1.0])
         weights = np.array([1.0])
     else:
+        # Imported on the first rule build, so rule-free commands never load scipy.
+        from scipy.linalg import eigvalsh_tridiagonal
+
         # Golub-Welsch eigenvalues of the Jacobi matrix seed a Newton polish of
         # the scaled polynomial; weights follow from the (Q+1)-degree value.
         # The recurrence runs in extended precision where the platform has it.
+        # Every step is elementwise, so dropping far seeds moves no other node.
         diag = 2.0 * np.arange(node_count) + 1.0
         off = np.arange(1.0, node_count)
-        t = eigvalsh_tridiagonal(diag, off).astype(np.longdouble)
+        seeds = eigvalsh_tridiagonal(diag, off)
+        t = seeds[seeds < _POLISH_BELOW].astype(np.longdouble)
         for _ in range(3):
             lq, lqm = _scaled_laguerre(node_count, t)
             deriv = (node_count * (lq - lqm)) / t - 0.5 * lq
@@ -135,8 +145,10 @@ def _laguerre_rule(node_count: int) -> tuple[np.ndarray, np.ndarray]:
         denom = ((node_count + 1) * lnext) ** 2
         usable = (damp > 0) & (denom > 0) & np.isfinite(denom)
         weights = np.where(usable, t * damp / np.where(usable, denom, 1.0), 0.0)
-        nodes = np.asarray(t, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
+        carried = weights > 0
+        nodes = np.asarray(t, dtype=np.float64)[carried]
+        weights = weights[carried]
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -145,9 +157,10 @@ def _laguerre_rule(node_count: int) -> tuple[np.ndarray, np.ndarray]:
 def laguerre_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for integral_0^inf f(t) exp(-t) dt.
 
-    Exact for polynomials up to degree 2*node_count - 1.  Weights in the far
-    tail underflow to zero in double precision for large rules; such nodes
-    carry no double-precision mass.
+    Exact for polynomials up to degree 2*node_count - 1.  Only nodes whose
+    double-precision weight is positive are returned: far-tail weights
+    underflow to zero from t ~ 746, so a large rule holds fewer than
+    node_count nodes (472 of 800, 682 of 1600).
     """
     return _laguerre_rule(spec.node_count)
 
@@ -164,16 +177,14 @@ def _order_blocks(orders: range):
 def _damped_rows(
     sym: RadialSymbol, powers: np.ndarray, shifts: np.ndarray, spec: QuadratureSpec
 ) -> np.ndarray:
-    """Terms phi(sqrt t_j) w_j t_j^powers[i] exp(-shifts[i]) over the nodes of
-    positive weight, one row per i, from a single ``damped`` call.
+    """Terms phi(sqrt t_j) w_j t_j^powers[i] exp(-shifts[i]) over the rule's
+    nodes, one row per i, from a single ``damped`` call.
 
     Every element is formed with the arithmetic of a one-row call, so a row
     does not depend on the others.
     """
-    nodes, weights = laguerre_nodes(spec)
-    mask = weights > 0
-    t = nodes[mask]
-    log_damp = np.log(weights[mask]) + np.multiply.outer(powers, np.log(t)) - shifts[:, None]
+    t, weights = laguerre_nodes(spec)
+    log_damp = np.log(weights) + np.multiply.outer(powers, np.log(t)) - shifts[:, None]
     return sym.damped(t, log_damp)
 
 

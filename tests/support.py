@@ -7,6 +7,10 @@ against the double-precision implementation at machine-level tolerances.
 Scalar black-box quadrature: one order at a time, one evaluator call per kept
 node and order, the arithmetic the batched moment pass must reproduce bit for
 bit.  Counting black-box twins of gamma(k) measure the evaluator calls.
+
+Full-polish Gauss-Laguerre rule: every Golub-Welsch seed Newton-polished and
+weighted, including the far tail whose weights underflow; the rule the
+package builds must equal its positive-weight part bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from bargmann_toeplitz import EnvelopedSymbol, NonConvergent, QuadratureSpec, laguerre_nodes
 
@@ -130,3 +135,36 @@ def scalar_absolute_moment(sym: EnvelopedSymbol, m: int, spec: QuadratureSpec) -
     coarse, fine = (float(_scalar_sum(sym, s, 0.5 * (m - 1), math.log(2.0), np.abs))
                     for s in (spec, spec.doubled()))
     return fine, abs(fine - coarse)
+
+
+def _scaled_laguerre(order: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """l_order and l_{order-1} where l_n(t) = exp(-t/2) L_n(t)."""
+    lower = np.exp(-0.5 * t)
+    if order == 0:
+        return lower, np.zeros_like(t)
+    current = (1.0 - t) * lower
+    for n in range(1, order):
+        lower, current = current, ((2 * n + 1 - t) * current - n * lower) / (n + 1)
+    return current, lower
+
+
+def full_polish_rule(node_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeds, nodes and weights of the Q-node rule with every seed polished."""
+    if node_count == 1:
+        return np.array([1.0]), np.array([1.0]), np.array([1.0])
+    diag = 2.0 * np.arange(node_count) + 1.0
+    off = np.arange(1.0, node_count)
+    seeds = eigvalsh_tridiagonal(diag, off)
+    t = seeds.astype(np.longdouble)
+    for _ in range(3):
+        lq, lqm = _scaled_laguerre(node_count, t)
+        deriv = (node_count * (lq - lqm)) / t - 0.5 * lq
+        usable = (deriv != 0) & np.isfinite(deriv) & np.isfinite(lq)
+        step = np.where(usable, lq / np.where(usable, deriv, 1.0), 0.0)
+        t = t - step
+    lnext, _ = _scaled_laguerre(node_count + 1, t)
+    damp = np.exp(-t)
+    denom = ((node_count + 1) * lnext) ** 2
+    usable = (damp > 0) & (denom > 0) & np.isfinite(denom)
+    weights = np.where(usable, t * damp / np.where(usable, denom, 1.0), 0.0)
+    return seeds, np.asarray(t, dtype=np.float64), np.asarray(weights, dtype=np.float64)

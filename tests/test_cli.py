@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bargmann_toeplitz
 from bargmann_toeplitz.cli import main, parse_complex_literal, parse_poly_spec, parse_symbol_spec
 from bargmann_toeplitz.symbols import GaussianRadialSymbol
 
@@ -157,6 +162,28 @@ class TestCommands:
         assert "equivalence.verdict: equivalent" in out
 
 
+class TestColdStart:
+    def test_rule_free_commands_leave_scipy_unloaded(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "from bargmann_toeplitz.cli import main\n"
+            "for argv in (['demo'], ['spectrum', '--symbol', 'gamma:2'],\n"
+            "             ['classify', '--symbol', 'gamma:0.6-0.8i'],\n"
+            "             ['compose', '--a', 'gamma:0.6-0.8i', '--b', 'gamma:0.6+0.8i']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = str(Path(bargmann_toeplitz.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+
 class TestReportContract:
     def test_determinism_without_timestamp(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -183,13 +210,6 @@ class TestReportContract:
         code, out, _ = run_cli(["classify", "--symbol", "gamma:2"], capsys)
         assert "generated_at" in json.loads(out)
 
-    def test_env_var_overrides_default_nodes(self, capsys, monkeypatch):
-        monkeypatch.setenv("BT_DEFAULT_NODES", "32")
-        code, out, _ = run_cli(
-            ["spectrum", "--symbol", "gamma:2", "--n", "2", "--no-timestamp"], capsys
-        )
-        assert json.loads(out)["config"]["nodes"] == 32
-
 
 class TestExitCodes:
     def test_invalid_symbol_is_exit_1(self, capsys):
@@ -208,15 +228,29 @@ class TestExitCodes:
             ["spectrum", "--symbol", HUGE_AMPLITUDE],
             ["spectrum", "--symbol", HUGE_RE],
             ["spectrum", "--symbol", "gamma:2", "--nodes", "3201"],
+            ["spectrum", "--symbol", "gamma:2", "--n", "abc"],
+            ["spectrum"],
+            ["frobnicate"],
+            ["apply", "--symbol", "gamma:1", "--poly", "0," * 330 + "1"],
         ],
         ids=["mb_nan", "mb_overflow", "nan_envelope", "deep_nesting", "nan_tol",
-             "huge_int", "huge_re", "nodes_above_bound"],
+             "huge_int", "huge_re", "nodes_above_bound", "non_integer_n", "missing_symbol",
+             "unknown_command", "poly_degree_330"],
     )
     def test_bad_input_is_exit_1(self, args, capsys):
         code, out, err = run_cli(args + ["--no-timestamp"], capsys)
         assert code == 1 and out == ""
         assert err.count("\n") == 1
         assert set(json.loads(err)["error"]) == {"type", "message"}
+
+    def test_output_to_missing_directory_is_exit_1(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(
+            ["classify", "--symbol", "gamma:2", "--output", str(target)], capsys
+        )
+        assert code == 1 and out == "" and not target.exists()
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
 
     def test_divergent_moment_is_exit_2(self, capsys):
         code, _, err = run_cli(["spectrum", "--symbol", "gamma:-1", "--n", "3"], capsys)

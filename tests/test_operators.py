@@ -175,6 +175,11 @@ class TestToeplitzApply:
             expected = FockPolynomial(tuple(scale * c for c in basis_polynomial(n).u_coeffs))
             assert coefficient_distance(image, expected) < 1e-8
 
+    def test_degree_beyond_double_range_refused(self):
+        # the identity symbol would return the image 0 for u_330
+        with pytest.raises(ValueError):
+            toeplitz_apply(gamma(1.0), basis_polynomial(330), SPEC)
+
     def test_domain_violation_raised(self, boundary_symbol):
         with pytest.raises(DomainViolation):
             toeplitz_apply(boundary_symbol, basis_polynomial(0), SPEC)

@@ -163,6 +163,18 @@ class TestFockPolynomialType:
         assert mono[4] == pytest.approx(1.0 / math.sqrt(24.0), rel=1e-15)
         assert all(c == 0 for c in mono[:4])
 
+    def test_evaluate_at_the_largest_normal_degree(self):
+        value = basis_polynomial(300).evaluate(2.0)
+        exact = math.exp(300 * math.log(2.0) - 0.5 * math.lgamma(301))
+        assert abs(value - exact) <= 1e-12 * exact
+
+    def test_evaluate_refuses_coefficients_beyond_degree_300(self):
+        # 1/sqrt(330!) underflows to 0, so u_330(2) would read 0 (true 4.1e-246)
+        with pytest.raises(ValueError):
+            basis_polynomial(330).evaluate(2.0)
+        trailing_zeros = FockPolynomial((1.0,) + (0.0,) * 400)
+        assert trailing_zeros.evaluate(2.0) == 1.0
+
     def test_empty_coefficients_normalized(self):
         assert FockPolynomial(()).u_coeffs == (0j,)
         assert L2Sequence(()).entries == (0j,)

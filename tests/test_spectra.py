@@ -25,6 +25,7 @@ from bargmann_toeplitz.spectra import CLOSED_FORM, QUADRATURE, absolute_moment, 
 from conftest import bounded_boundary_symbol
 from support import (
     counting_twin,
+    full_polish_rule,
     scalar_absolute_moment,
     scalar_quadrature_eigen,
     weighted_node_count,
@@ -64,6 +65,15 @@ class TestLaguerreRule:
         assert np.all(nodes > 0)
         assert np.all(weights >= 0)
         assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+
+    def test_rule_is_the_weighted_part_of_the_full_polish(self):
+        for node_count in (*range(1, 65), 200, 400, 800, 1600):
+            seeds, ref_nodes, ref_weights = full_polish_rule(node_count)
+            nodes, weights = laguerre_nodes(QuadratureSpec(node_count))
+            carried = ref_weights > 0
+            assert np.array_equal(nodes, ref_nodes[carried]), node_count
+            assert np.array_equal(weights, ref_weights[carried]), node_count
+            assert not np.any(ref_weights[seeds >= 800]), node_count
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
