@@ -40,6 +40,11 @@ REPORT_SCHEMA = "bt-report/1"
 # below t = 800, roughly (2/pi) sqrt(800 Q)), not Q^2: far seeds are dropped
 # unpolished because their weights underflow.
 MAX_NODES = 3200
+# Largest --n and --m-max, the highest order the package aims to reach.  verify
+# costs about N^3 (4.8 s at N = 80, so about 40 s at 160), so its --n stops
+# lower.
+MAX_ORDER = 2000
+MAX_VERIFY_ORDER = 160
 
 
 def parse_complex_literal(text: str) -> complex:
@@ -99,8 +104,11 @@ class RunConfig:
             raise ValueError("tol must be positive and finite")
         if not 1 <= self.nodes <= MAX_NODES:
             raise ValueError(f"nodes must be between 1 and {MAX_NODES}")
-        if self.n_max < 0 or self.m_max < 0:
-            raise ValueError("n and m-max must be >= 0")
+        n_bound = MAX_VERIFY_ORDER if self.command == "verify" else MAX_ORDER
+        if not 0 <= self.n_max <= n_bound:
+            raise ValueError(f"n must be between 0 and {n_bound} for {self.command}")
+        if not 0 <= self.m_max <= MAX_ORDER:
+            raise ValueError(f"m-max must be between 0 and {MAX_ORDER}")
 
     def spec(self) -> QuadratureSpec:
         return QuadratureSpec(self.nodes)
@@ -136,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, n_default: int = 16):
+    def common(p: argparse.ArgumentParser, n_default: int = 16, n_bound: int = MAX_ORDER):
         p.add_argument("--n", dest="n_max", type=int, default=n_default,
-                       help="largest basis index / sequence length - 1")
+                       help=f"largest basis index / sequence length - 1, 0..{n_bound}")
         p.add_argument("--nodes", type=int, default=DEFAULT_NODE_COUNT,
                        help=f"radial quadrature nodes, 1..{MAX_NODES} (default {DEFAULT_NODE_COUNT})")
         p.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
@@ -149,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="symbol-class membership report")
     p.add_argument("--symbol", required=True)
-    p.add_argument("--m-max", dest="m_max", type=int, default=8)
+    p.add_argument("--m-max", dest="m_max", type=int, default=8,
+                   help=f"largest order of the numeric moment evidence, 0..{MAX_ORDER}")
     common(p)
 
     p = sub.add_parser("spectrum", help="eigenvalue sequence of a radial symbol")
@@ -163,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Toeplitz-vs-diagonal equivalence report")
     p.add_argument("--symbol", required=True)
-    common(p, n_default=12)
+    common(p, n_default=12, n_bound=MAX_VERIFY_ORDER)
 
     p = sub.add_parser("compose", help="composition verdict for two symbols")
     p.add_argument("--a", required=True)

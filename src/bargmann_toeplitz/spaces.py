@@ -52,21 +52,22 @@ class FockPolynomial:
         return math.sqrt(sum(abs(c) ** 2 for c in self.u_coeffs))
 
     def monomial_coeffs(self) -> tuple[complex, ...]:
-        """Maclaurin coefficients: coefficient of z^n is u_coeffs[n]/sqrt(n!)."""
-        return tuple(c * _inv_sqrt_factorial(n) for n, c in enumerate(self.u_coeffs))
-
-    def evaluate(self, z):
-        """Value at z (scalar or array), by Horner on the monomial view.
+        """Maclaurin coefficients: coefficient of z^n is u_coeffs[n]/sqrt(n!).
 
         Raises ``ValueError`` for a nonzero coefficient beyond degree
         ``MAX_EVALUATED_DEGREE``, whose monomial coefficient is not a normal
-        double, rather than returning a value that has lost it.
+        double, rather than returning a coefficient that has lost it.
         """
         if any(self.u_coeffs[MAX_EVALUATED_DEGREE + 1:]):
             raise ValueError(
-                f"cannot evaluate a nonzero u_n coefficient with n > {MAX_EVALUATED_DEGREE}: "
+                f"no monomial view of a nonzero u_n coefficient with n > {MAX_EVALUATED_DEGREE}: "
                 "1/sqrt(n!) is not a normal double"
             )
+        return tuple(c * _inv_sqrt_factorial(n) for n, c in enumerate(self.u_coeffs))
+
+    def evaluate(self, z):
+        """Value at z (scalar or array), by Horner on the monomial view, so it
+        refuses what ``monomial_coeffs`` refuses."""
         z = np.asarray(z, dtype=complex)
         acc = np.zeros_like(z)
         for a in reversed(self.monomial_coeffs()):

@@ -38,9 +38,12 @@ from .errors import DivergentMoment, EnvelopeViolation
 
 # Log-magnitude floor below which a node cannot contribute to a double sum.
 _LOG_NEGLIGIBLE = -745.0
-# Elementwise math.exp: libm's exp, which np.exp differs from by an ulp on some
-# arguments.
-_exact_exp = np.frompyfunc(math.exp, 1, 1)
+
+
+def _libm_exp(x: np.ndarray) -> np.ndarray:
+    """Elementwise math.exp: libm's exp, which np.exp differs from by an ulp on
+    some arguments."""
+    return np.fromiter(map(math.exp, x.tolist()), float, x.size)
 
 
 class Trivalent(Enum):
@@ -214,15 +217,27 @@ class EnvelopedSymbol(RadialSymbol):
             raise ValueError("an evaluator or a base symbol is required")
 
     def value(self, r: float) -> complex:
-        v = complex(self.evaluator(r)) if self.evaluator is not None else self.base.value(r)
-        bound = self.envelope_c * math.exp(min(self.envelope_delta * r * r, 709.0))
-        # inverted comparison so non-finite evaluations count as violations
-        if not (abs(v) <= bound * (1.0 + 1e-9)):
-            raise EnvelopeViolation(
-                f"|phi({r!r})| = {abs(v):.6g} exceeds declared envelope "
-                f"{self.envelope_c:.6g}*exp({self.envelope_delta:.6g}*r^2) = {bound:.6g}"
-            )
-        return v
+        return self._samples([r])[0]
+
+    def _samples(self, radii: list[float]) -> list[complex]:
+        """phi at each radius in turn, each value checked against the envelope
+        before the next is asked for."""
+        r = np.array(radii, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, like float arithmetic
+            bounds = self.envelope_c * _libm_exp(np.minimum(self.envelope_delta * r * r, 709.0))
+            limits = bounds * (1.0 + 1e-9)
+        evaluator, base = self.evaluator, self.base
+        out = []
+        for radius, bound, limit in zip(radii, bounds.tolist(), limits.tolist()):
+            v = complex(evaluator(radius)) if evaluator is not None else base.value(radius)
+            # inverted comparison so non-finite evaluations count as violations
+            if not (abs(v) <= limit):
+                raise EnvelopeViolation(
+                    f"|phi({radius!r})| = {abs(v):.6g} exceeds declared envelope "
+                    f"{self.envelope_c:.6g}*exp({self.envelope_delta:.6g}*r^2) = {bound:.6g}"
+                )
+            out.append(v)
+        return out
 
     def growth(self) -> tuple[float, bool]:
         return self.envelope_delta, False
@@ -234,17 +249,24 @@ class EnvelopedSymbol(RadialSymbol):
         # certified symbols (delta < 1, moderate moment order) the skipped mass
         # is exponentially small; beyond that regime the doubling checks refuse
         # the result.
-        # The black box runs once per node that any row keeps; each kept term
-        # is the scalar product value * math.exp, as for a single row.
+        # The black box runs once per node that any row keeps.  Each kept term
+        # has the bits of the scalar product value * math.exp(log_damp).
         bound_log = math.log(self.envelope_c) + self.envelope_delta * t
         keep = (log_damp + bound_log > _LOG_NEGLIGIBLE) & (bound_log < 705.0)
-        phi = np.empty(t.shape, dtype=object)
-        for j in np.nonzero(keep.reshape(-1, t.size).any(axis=0))[0]:
-            phi[j] = self.value(math.sqrt(t[j]))
-        kept = np.nonzero(keep)
-        out = np.zeros(keep.shape, dtype=complex)
-        out[kept] = phi[kept[-1]] * _exact_exp(np.broadcast_to(log_damp, keep.shape)[kept])
-        return out
+        rows = keep.reshape(-1, t.size)
+        used = np.flatnonzero(rows.any(axis=0))
+        phi = np.zeros(t.size, dtype=complex)
+        phi[used] = self._samples(np.sqrt(t.reshape(-1)[used]).tolist())
+        row, node = np.nonzero(rows)
+        x = _libm_exp(np.broadcast_to(log_damp, keep.shape).reshape(rows.shape)[row, node])
+        re, im = phi.real[node], phi.imag[node]
+        out = np.zeros(rows.shape, dtype=complex)
+        # CPython multiplies complex by float as by complex(x, 0.0); numpy's
+        # complex-by-real product may fuse, which changes the sign of
+        # underflowed zeros.
+        out.real[row, node] = re * x - im * 0.0
+        out.imag[row, node] = re * 0.0 + im * x
+        return out.reshape(keep.shape)
 
     def to_json_obj(self) -> dict:
         if self.base is None:

@@ -6,7 +6,9 @@ against the double-precision implementation at machine-level tolerances.
 
 Scalar black-box quadrature: one order at a time, one evaluator call per kept
 node and order, the arithmetic the batched moment pass must reproduce bit for
-bit.  Counting black-box twins of gamma(k) measure the evaluator calls.
+bit.  The same scalar product value * math.exp(log_damp) term by term is the
+reference for ``EnvelopedSymbol.damped``.  Counting black-box twins of gamma(k)
+measure the evaluator calls.
 
 Full-polish Gauss-Laguerre rule: every Golub-Welsch seed Newton-polished and
 weighted, including the far tail whose weights underflow; the rule the
@@ -97,6 +99,24 @@ def counting_twin(k: complex) -> tuple[EnvelopedSymbol, CountingGamma]:
     """Black-box twin of gamma(k) with its exact envelope |k| exp((1-Re k) r^2)."""
     evaluator = CountingGamma(k)
     return EnvelopedSymbol(evaluator, abs(evaluator.k), 1.0 - evaluator.k.real), evaluator
+
+
+def scalar_damped(sym: EnvelopedSymbol, t: np.ndarray, log_damp: np.ndarray) -> np.ndarray:
+    """``sym.damped(t, log_damp)`` term by term: value * math.exp(log_damp) at
+    every kept element of a 1-D ``t`` and a ``log_damp`` broadcast against it."""
+    log_damp = np.broadcast_to(log_damp, np.broadcast_shapes(t.shape, np.shape(log_damp)))
+    bound_log = math.log(sym.envelope_c) + sym.envelope_delta * t
+    out = np.zeros(log_damp.shape, dtype=complex)
+    for idx in np.ndindex(log_damp.shape):
+        j = idx[-1]
+        if log_damp[idx] + bound_log[j] > -745.0 and bound_log[j] < 705.0:
+            out[idx] = sym.value(math.sqrt(t[j])) * math.exp(log_damp[idx])
+    return out
+
+
+def hex_parts(values: np.ndarray) -> list[tuple[str, str]]:
+    """(real.hex(), imag.hex()) of every element, so signed zeros count."""
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in np.ravel(values).tolist()]
 
 
 def weighted_node_count(spec: QuadratureSpec) -> int:

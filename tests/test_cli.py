@@ -232,16 +232,25 @@ class TestExitCodes:
             ["spectrum"],
             ["frobnicate"],
             ["apply", "--symbol", "gamma:1", "--poly", "0," * 330 + "1"],
+            ["spectrum", "--symbol", "gamma:2", "--n", "2001"],
+            ["classify", "--symbol", "gamma:2", "--m-max", "2001"],
+            ["verify", "--symbol", "gamma:2", "--n", "161"],
         ],
         ids=["mb_nan", "mb_overflow", "nan_envelope", "deep_nesting", "nan_tol",
              "huge_int", "huge_re", "nodes_above_bound", "non_integer_n", "missing_symbol",
-             "unknown_command", "poly_degree_330"],
+             "unknown_command", "poly_degree_330", "n_above_bound", "m_max_above_bound",
+             "verify_n_above_bound"],
     )
     def test_bad_input_is_exit_1(self, args, capsys):
         code, out, err = run_cli(args + ["--no-timestamp"], capsys)
         assert code == 1 and out == ""
         assert err.count("\n") == 1
         assert set(json.loads(err)["error"]) == {"type", "message"}
+
+    def test_largest_order_is_accepted(self, capsys):
+        code, out, _ = run_cli(["spectrum", "--symbol", "gamma:2", "--n", "2000", "--no-timestamp"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["result"]["spectrum"]["values"]) == 2001
 
     def test_output_to_missing_directory_is_exit_1(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.json"

@@ -175,6 +175,13 @@ class TestFockPolynomialType:
         trailing_zeros = FockPolynomial((1.0,) + (0.0,) * 400)
         assert trailing_zeros.evaluate(2.0) == 1.0
 
+    def test_monomial_view_refuses_coefficients_beyond_degree_300(self):
+        # 1/sqrt(314!) underflows to 0, so the monomial coefficient would read 0
+        with pytest.raises(ValueError):
+            basis_polynomial(314).monomial_coeffs()
+        assert basis_polynomial(300).monomial_coeffs()[300].real > 0
+        assert FockPolynomial((1.0,) + (0.0,) * 400).monomial_coeffs()[0] == 1.0
+
     def test_empty_coefficients_normalized(self):
         assert FockPolynomial(()).u_coeffs == (0j,)
         assert L2Sequence(()).entries == (0j,)

@@ -20,13 +20,15 @@ from bargmann_toeplitz import (
     eval_symbol,
     gamma,
     in_natural_domain,
+    laguerre_nodes,
     maxwell_boltzmann,
     symbol_from_json,
     symbol_to_json,
 )
+from bargmann_toeplitz.symbols import radial_values
 
 from conftest import bounded_boundary_symbol
-from support import counting_twin, weighted_node_count
+from support import counting_twin, hex_parts, scalar_damped, weighted_node_count
 
 
 class TestEvaluation:
@@ -68,6 +70,86 @@ class TestEvaluation:
     def test_enveloped_requires_evaluator_or_base(self):
         with pytest.raises(ValueError):
             EnvelopedSymbol(evaluator=None, envelope_c=1.0, envelope_delta=0.0)
+
+
+class TestEnvelopedDamped:
+    """``EnvelopedSymbol.damped`` equals the scalar value * math.exp(log_damp)
+    in every bit of every element, signed zeros included."""
+
+    @staticmethod
+    def orders_log_damp(spec, orders):
+        t, w = laguerre_nodes(spec)
+        shifts = np.array([math.lgamma(n + 1) for n in orders])
+        return t, np.log(w) + np.multiply.outer(np.asarray(orders, float), np.log(t)) - shifts[:, None]
+
+    def test_radial_values_match_scalar_product(self):
+        sym, _ = counting_twin(0.6 - 0.8j)
+        r = np.sqrt(laguerre_nodes(QuadratureSpec(120))[0])
+        t = r * r
+        assert hex_parts(radial_values(sym, r)) == hex_parts(scalar_damped(sym, t, np.zeros_like(t)))
+
+    def test_rows_keeping_different_nodes_match_scalar_product(self):
+        sym, _ = counting_twin(1.5 + 0.4j)
+        t, log_damp = self.orders_log_damp(QuadratureSpec(200), [0, 9, 40, 150])
+        keep = log_damp + math.log(sym.envelope_c) + sym.envelope_delta * t > -745.0
+        assert len({tuple(row) for row in keep}) == 4  # every row keeps other nodes
+        assert hex_parts(sym.damped(t, log_damp)) == hex_parts(scalar_damped(sym, t, log_damp))
+
+    def test_negative_values_with_underflowing_terms(self):
+        # Terms near exp(-744) underflow to signed zeros whose sign a fused
+        # complex multiply gets wrong; the scalar product fixes it.
+        sym = EnvelopedSymbol(lambda r: complex(-0.3 - 0.5 * math.sin(r) ** 2, -1e-310 * (1.0 + r)), 1.0, 0.0)
+        t = laguerre_nodes(QuadratureSpec(60))[0]
+        log_damp = np.linspace(-744.9, -735.0, 7)[:, None] + np.zeros_like(t)
+        damped = sym.damped(t, log_damp)
+        assert any(math.copysign(1.0, z.imag) < 0 for z in damped.ravel().tolist() if z.imag == 0)
+        assert hex_parts(damped) == hex_parts(scalar_damped(sym, t, log_damp))
+
+    @pytest.mark.parametrize(
+        "sym",
+        [
+            EnvelopedSymbol(lambda r: -3, 3.0, 0.0),
+            EnvelopedSymbol(lambda r: -0.5 * math.cos(r), 1.0, 0.0),
+            EnvelopedSymbol(None, 2.0, 0.3, base=gamma(0.7 - 0.4j)),
+        ],
+        ids=["int", "float", "base"],
+    )
+    def test_non_complex_evaluators_and_base_symbols(self, sym):
+        t, log_damp = self.orders_log_damp(QuadratureSpec(100), [0, 5, 30])
+        assert hex_parts(sym.damped(t, log_damp)) == hex_parts(scalar_damped(sym, t, log_damp))
+
+    @pytest.mark.parametrize("bad", [1e9, float("nan")], ids=["too_large", "nan"])
+    def test_violation_at_the_first_violating_node(self, bad):
+        calls = []
+
+        def lying(r):
+            calls.append(r)
+            return bad if r > 3.0 else 0.5
+
+        sym = EnvelopedSymbol(lying, 1.0, 0.0)
+        t, log_damp = self.orders_log_damp(QuadratureSpec(80), [0, 12])
+        with pytest.raises(EnvelopeViolation) as raised:
+            sym.damped(t, log_damp)
+        first = calls[-1]
+        assert first > 3.0 and all(r <= 3.0 for r in calls[:-1])  # nothing evaluated past it
+        assert calls == sorted(calls)
+        with pytest.raises(EnvelopeViolation) as scalar:
+            sym.value(first)
+        assert str(raised.value) == str(scalar.value)
+
+    def test_evaluator_exception_propagates(self):
+        class Broken(Exception):
+            pass
+
+        def broken(r):
+            if r > 2.0:
+                raise Broken("evaluator failed")
+            return 0.5
+
+        sym = EnvelopedSymbol(broken, 1.0, 0.0)
+        t, log_damp = self.orders_log_damp(QuadratureSpec(80), [0, 3])
+        with pytest.raises(Broken, match="evaluator failed"):
+            sym.damped(t, log_damp)
 
 
 class TestConstructors:
