@@ -130,12 +130,7 @@ def _scalar_sum(sym: EnvelopedSymbol, spec: QuadratureSpec, power: float, shift:
     mask = weights > 0
     t = nodes[mask]
     log_damp = np.log(weights[mask]) + power * np.log(t) - shift
-    bound_log = math.log(sym.envelope_c) + sym.envelope_delta * t
-    keep = (log_damp + bound_log > -745.0) & (bound_log < 705.0)
-    out = np.zeros(t.shape, dtype=complex)
-    for i in np.nonzero(keep)[0]:
-        out[i] = sym.value(math.sqrt(t[i])) * math.exp(log_damp[i])
-    return np.sum(term(out))
+    return np.sum(term(scalar_damped(sym, t, log_damp)))
 
 
 def scalar_quadrature_eigen(sym: EnvelopedSymbol, n: int, spec: QuadratureSpec, tol: float) -> complex:
