@@ -161,11 +161,15 @@ def _projection_coeffs(sym: RadialSymbol, poly: FockPolynomial, spec: Quadrature
     symbol = radial_values(sym, np.sqrt(grid.t))
     scaled = (grid.radial_weights * symbol)[:, None] * poly.evaluate(grid.points)
     out = np.empty(poly.degree + 1, dtype=complex)
-    basis = np.ones_like(grid.points)
+    cpoints = np.conj(grid.points)
+    cbasis = np.ones_like(cpoints)  # conj(u_m) on the grid
+    prod = np.empty_like(cpoints)
     for m in range(poly.degree + 1):
         if m > 0:
-            basis = basis * grid.points / math.sqrt(m)
-        out[m] = np.sum(np.conj(basis) * scaled) / grid.angular_count
+            np.multiply(cbasis, cpoints, out=cbasis)
+            np.multiply(cbasis.view(float), 1.0 / math.sqrt(m), out=cbasis.view(float))
+        np.multiply(cbasis, scaled, out=prod)
+        out[m] = prod.sum() / grid.angular_count
     return out
 
 

@@ -71,7 +71,11 @@ class FockPolynomial:
         z = np.asarray(z, dtype=complex)
         acc = np.zeros_like(z)
         for a in reversed(self.monomial_coeffs()):
-            acc = acc * z + a
+            if acc.ndim:
+                np.multiply(acc, z, out=acc)
+                np.add(acc, a, out=acc)
+            else:  # numpy scalar arithmetic rounds unlike the ufunc loop
+                acc = acc * z + a
         return acc if acc.ndim else complex(acc)
 
     def to_json_obj(self) -> list:

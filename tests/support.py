@@ -13,6 +13,10 @@ measure the evaluator calls.
 Full-polish Gauss-Laguerre rule: every Golub-Welsch seed Newton-polished and
 weighted, including the far tail whose weights underflow; the rule the
 package builds must equal its positive-weight part bit for bit.
+
+Allocating projection: the grid projection and Horner evaluation as they were
+before the conjugate basis moved into preallocated buffers, one temporary per
+array operation; the package must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +28,16 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from bargmann_toeplitz import EnvelopedSymbol, NonConvergent, QuadratureSpec, laguerre_nodes
+from bargmann_toeplitz import (
+    EnvelopedSymbol,
+    FockPolynomial,
+    NonConvergent,
+    QuadratureSpec,
+    RadialSymbol,
+    laguerre_nodes,
+)
+from bargmann_toeplitz.spaces import angular_count_for, polar_grid
+from bargmann_toeplitz.symbols import radial_values
 
 
 class RationalComplex:
@@ -183,3 +196,26 @@ def full_polish_rule(node_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     usable = (damp > 0) & (denom > 0) & np.isfinite(denom)
     weights = np.where(usable, t * damp / np.where(usable, denom, 1.0), 0.0)
     return seeds, np.asarray(t, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+
+
+def allocating_evaluate(poly: FockPolynomial, z):
+    """``FockPolynomial.evaluate`` with a fresh array per Horner step."""
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros_like(z)
+    for a in reversed(poly.monomial_coeffs()):
+        acc = acc * z + a
+    return acc if acc.ndim else complex(acc)
+
+
+def allocating_projection_coeffs(sym: RadialSymbol, poly: FockPolynomial, spec: QuadratureSpec) -> np.ndarray:
+    """``operators._projection_coeffs`` with u_m rebuilt and conjugated per m."""
+    grid = polar_grid(spec, angular_count_for(poly.degree))
+    symbol = radial_values(sym, np.sqrt(grid.t))
+    scaled = (grid.radial_weights * symbol)[:, None] * allocating_evaluate(poly, grid.points)
+    out = np.empty(poly.degree + 1, dtype=complex)
+    basis = np.ones_like(grid.points)
+    for m in range(poly.degree + 1):
+        if m > 0:
+            basis = basis * grid.points / math.sqrt(m)
+        out[m] = np.sum(np.conj(basis) * scaled) / grid.angular_count
+    return out

@@ -303,6 +303,15 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_csv_refused_before_verify_runs(self, capsys):
+        # the report at this hard k would end in NonConvergent (exit 3)
+        code, out, err = run_cli(
+            ["verify", "--symbol", "gamma:0.7+1.5i", "--n", "40", "--format", "csv"], capsys
+        )
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and "csv" in error["message"]
+
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["compose", "--a", "gamma:2"]) == 1
         capsys.readouterr()

@@ -27,7 +27,10 @@ from bargmann_toeplitz import (
     maxwell_boltzmann,
     toeplitz_apply,
 )
+from bargmann_toeplitz.operators import _projection_coeffs
 from bargmann_toeplitz.spectra import GeometricTail
+
+from support import allocating_projection_coeffs, hex_parts
 
 SPEC = QuadratureSpec(200)
 
@@ -214,6 +217,45 @@ class TestToeplitzApply:
         sym = EnvelopedSymbol(evaluator=None, envelope_c=2.0, envelope_delta=0.0, base=gamma(2.0))
         image = toeplitz_apply(sym, basis_polynomial(2), QuadratureSpec(128))
         assert image.u_coeffs[2] == pytest.approx(0.25, abs=1e-8)
+
+
+class TestProjectionBits:
+    """The buffered projection reproduces the allocating one bit for bit.
+
+    From 256 KiB of grid (16384 points) numpy computes a same-shape product
+    with a temporary operand in place, and a temporary right operand then
+    becomes the left one, which can move the last bit of a complex product.
+    So the degrees sit on both sides of that size: 19 and 20 at Q = 200 (199
+    nodes), 11 and 12 at Q = 400 (319 nodes).
+    """
+
+    @staticmethod
+    def polynomials(degree: int) -> list[FockPolynomial]:
+        rng = np.random.default_rng(degree)
+        dense = tuple(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+        return [
+            FockPolynomial((0j,) * (degree + 1)),
+            basis_polynomial(degree),
+            FockPolynomial(dense),
+            FockPolynomial(dense[:3] + (0j,) * (degree - 2)),
+        ]
+
+    @pytest.mark.parametrize("node_count, degree", [(200, 19), (200, 20), (400, 11), (400, 12)])
+    def test_coefficients_at_the_elision_size(self, node_count, degree):
+        spec = QuadratureSpec(node_count)
+        for sym in (gamma(1.7 + 0.4j), gamma(0.7 + 1.5j), PolynomialRadialSymbol((1.0, -0.5j))):
+            for poly in self.polynomials(degree):
+                assert hex_parts(_projection_coeffs(sym, poly, spec)) == hex_parts(
+                    allocating_projection_coeffs(sym, poly, spec)
+                )
+
+    def test_toeplitz_apply(self):
+        sym = gamma(1.7 + 0.4j)
+        for poly in self.polynomials(20):
+            image = toeplitz_apply(sym, poly, SPEC)
+            assert hex_parts(np.array(image.u_coeffs)) == hex_parts(
+                allocating_projection_coeffs(sym, poly, SPEC.doubled())
+            )
 
 
 class TestExtension:

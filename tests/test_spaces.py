@@ -20,6 +20,9 @@ from bargmann_toeplitz import (
     resolution_identity_matrix,
     to_sequence,
 )
+from bargmann_toeplitz.spaces import angular_count_for, polar_grid
+
+from support import allocating_evaluate, hex_parts
 
 
 def random_polynomial(rng, degree):
@@ -99,6 +102,15 @@ class TestInnerProduct:
             quad = fock_inner_quadrature(f, g, spec)
             assert abs(direct - quad) < 1e-10
 
+    def test_quadrature_matches_allocating_horner_bits(self):
+        rng = np.random.default_rng(13)
+        spec = QuadratureSpec(200)
+        grid = polar_grid(spec, angular_count_for(20))
+        f = random_polynomial(rng, 20)
+        for g in (FockPolynomial(random_polynomial(rng, 6).u_coeffs + (0j,) * 14), FockPolynomial((0j,) * 3)):
+            expected = grid.integrate(np.conj(allocating_evaluate(f, grid.points)) * allocating_evaluate(g, grid.points))
+            assert hex_parts(np.array(fock_inner_quadrature(f, g, spec))) == hex_parts(np.array(expected))
+
 
 class TestCoherentOverlap:
     def test_vacuum_overlap(self):
@@ -141,6 +153,16 @@ class TestReproducingKernel:
                 z /= max(1.0, abs(z))
                 assert reproduce_at(poly, z, spec) == pytest.approx(poly.evaluate(z), abs=1e-8)
 
+    def test_matches_allocating_horner_bits(self):
+        rng = np.random.default_rng(2025)
+        spec = QuadratureSpec(200)
+        z = 0.6 - 0.3j
+        for poly in (random_polynomial(rng, 12), FockPolynomial((0.5j,) + (0j,) * 20)):
+            grid = polar_grid(spec.doubled(), 2 * max(angular_count_for(poly.degree), 64))
+            kernel = np.exp(z * np.conj(grid.points))
+            expected = grid.integrate(kernel * allocating_evaluate(poly, grid.points))
+            assert hex_parts(np.array(reproduce_at(poly, z, spec))) == hex_parts(np.array(expected))
+
     def test_starved_rule_raises(self):
         poly = basis_polynomial(8)
         with pytest.raises(NonConvergent):
@@ -174,6 +196,30 @@ class TestFockPolynomialType:
             basis_polynomial(330).evaluate(2.0)
         trailing_zeros = FockPolynomial((1.0,) + (0.0,) * 400)
         assert trailing_zeros.evaluate(2.0) == 1.0
+
+    def test_evaluate_contract(self):
+        poly = FockPolynomial((1.0, 0.5j, -0.25))
+        for z in (2, 0.5, 1.5 - 0.5j, np.complex128(0.3j), np.array(0.7 + 0.1j)):
+            assert type(poly.evaluate(z)) is complex
+        grid = np.full((3, 4), 0.5 - 1.0j)
+        values = poly.evaluate(grid)
+        assert isinstance(values, np.ndarray) and values.shape == (3, 4) and values.dtype == complex
+        listed = poly.evaluate([0.5, 1j])
+        assert listed.shape == (2,)
+        assert listed.tolist() == [poly.evaluate(0.5), poly.evaluate(1j)]
+
+    def test_evaluate_matches_allocating_horner_bits(self):
+        # numpy scalar arithmetic rounds unlike the ufunc loop, so scalar and
+        # 0-d inputs must keep the allocating Horner step
+        rng = np.random.default_rng(60)
+        points = rng.uniform(-2, 2, 60) + 1j * rng.uniform(-2, 2, 60)
+        for degree in (0, 3, 17, 40):
+            poly = random_polynomial(rng, degree)
+            for z in points.tolist():
+                assert hex_parts(np.array(poly.evaluate(z))) == hex_parts(np.array(allocating_evaluate(poly, z)))
+            assert hex_parts(poly.evaluate(points)) == hex_parts(allocating_evaluate(poly, points))
+        zero = FockPolynomial((0j,) * 5)
+        assert hex_parts(zero.evaluate(points)) == hex_parts(allocating_evaluate(zero, points))
 
     def test_monomial_view_refuses_coefficients_beyond_degree_300(self):
         # 1/sqrt(314!) underflows to 0, so the monomial coefficient would read 0
