@@ -36,7 +36,9 @@ from .symbols import (
 )
 
 REPORT_SCHEMA = "bt-report/1"
-# Largest rule benchmarked.  The rule build costs about Q x (the nodes seeded
+# Largest rule benchmarked.  Its doubling, 6400, tops the ladder of shipped
+# rule tables (spectra._RULE_LADDER), each loaded in under a millisecond.
+# Only an off-ladder Q is built, at a cost of about Q x (the nodes seeded
 # below t = 800, roughly (2/pi) sqrt(800 Q)), not Q^2: far seeds are dropped
 # unpolished because their weights underflow.
 MAX_NODES = 3200
@@ -196,6 +198,11 @@ def _result_classify(cfg: RunConfig) -> dict:
 def _result_spectrum(cfg: RunConfig) -> dict:
     sym = parse_symbol_spec(cfg.symbol)
     seq = eigen_sequence(sym, cfg.n_max, cfg.spec())
+    # Closed forms overflow past some order (phi_1390 for gamma:0.6); refuse in
+    # every format, naming the first such order.
+    for n, value in enumerate(seq.values):
+        if not math.isfinite(abs(value)):
+            raise ValueError(f"phi_{n} is outside double range (|phi_{n}| = {abs(value)})")
     return {"symbol": symbol_to_json(sym), "spectrum": seq.to_json_obj()}
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -117,8 +118,27 @@ def _scaled_laguerre(order: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 _POLISH_BELOW = 800.0
 
 
+# _build_rule's output for the doubling ladder Q = 25 * 2**j, j = 0..8: every
+# rule reached from DEFAULT_NODE_COUNT by halving or doubling, up to twice the
+# CLI's largest Q.  One (2, n) float64 array per Q, nodes then weights, written
+# by tools/make_rule_tables.py; tests/test_spectra.py pins each to the builder.
+_RULE_LADDER = tuple(25 * 2**j for j in range(9))
+_RULE_TABLES = Path(__file__).with_name("rules")
+
+
 @lru_cache(maxsize=32)
 def _laguerre_rule(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shipped table for ``node_count`` if there is one, else ``_build_rule``."""
+    try:
+        table = np.load(_RULE_TABLES / f"laguerre_{node_count}.npy")
+    except FileNotFoundError:
+        return _build_rule(node_count)
+    table.flags.writeable = False
+    nodes, weights = table
+    return nodes, weights
+
+
+def _build_rule(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     if node_count == 1:
         nodes = np.array([1.0])
         weights = np.array([1.0])
@@ -160,7 +180,9 @@ def laguerre_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     Exact for polynomials up to degree 2*node_count - 1.  Only nodes whose
     double-precision weight is positive are returned: far-tail weights
     underflow to zero from t ~ 746, so a large rule holds fewer than
-    node_count nodes (472 of 800, 682 of 1600).
+    node_count nodes (472 of 800, 682 of 1600).  The rules Q = 25 * 2**j up to
+    6400 are loaded from shipped tables of the builder's output; any other Q
+    is built on first use.
     """
     return _laguerre_rule(spec.node_count)
 

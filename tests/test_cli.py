@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bargmann_toeplitz
+from bargmann_toeplitz import spectra
 from bargmann_toeplitz.cli import main, parse_complex_literal, parse_poly_spec, parse_symbol_spec
 from bargmann_toeplitz.symbols import GaussianRadialSymbol
 
@@ -162,26 +164,52 @@ class TestCommands:
         assert "equivalence.verdict: equivalent" in out
 
 
+ENVELOPED = (
+    '{"kind": "enveloped", "envelope_c": 2.0, "envelope_delta": 0.0, "base": %s}' % GAUSSIAN_JSON
+)
+
+
+def scipy_loaded_after(argvs) -> bool:
+    """Run ``main`` on each argv in a fresh interpreter; was scipy imported?"""
+    script = (
+        "import contextlib, io, sys\n"
+        "from bargmann_toeplitz.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(bargmann_toeplitz.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout == "True\n"
+
+
 class TestColdStart:
     def test_rule_free_commands_leave_scipy_unloaded(self):
-        script = (
-            "import contextlib, io, sys\n"
-            "from bargmann_toeplitz.cli import main\n"
-            "for argv in (['demo'], ['spectrum', '--symbol', 'gamma:2'],\n"
-            "             ['classify', '--symbol', 'gamma:0.6-0.8i'],\n"
-            "             ['compose', '--a', 'gamma:0.6-0.8i', '--b', 'gamma:0.6+0.8i']):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert main(argv) == 0, argv\n"
-            "print('scipy' in sys.modules)\n"
-        )
-        src = str(Path(bargmann_toeplitz.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert not scipy_loaded_after([
+            ["demo"], ["spectrum", "--symbol", "gamma:2"],
+            ["classify", "--symbol", "gamma:0.6-0.8i"],
+            ["compose", "--a", "gamma:0.6-0.8i", "--b", "gamma:0.6+0.8i"],
+        ])
+
+    def test_ladder_rules_leave_scipy_unloaded(self):
+        assert not scipy_loaded_after([
+            ["apply", "--symbol", "gamma:1.5", "--poly", "1,0,0.5", "--nodes", "800"],
+            ["verify", "--symbol", "gamma:2", "--nodes", "800", "--n", "4"],
+            ["spectrum", "--symbol", ENVELOPED, "--n", "8"],
+        ])
+
+    def test_off_ladder_rule_is_built(self, capsys):
+        code, out, _ = run_cli(["spectrum", "--symbol", ENVELOPED, "--n", "8", "--nodes", "300"], capsys)
+        assert code == 0 and json.loads(out)["result"]["spectrum"]["method"] == "quadrature"
+        nodes, weights = spectra.laguerre_nodes(spectra.QuadratureSpec(300))
+        ref_nodes, ref_weights = spectra._build_rule(300)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
 
 
 class TestReportContract:
@@ -251,6 +279,16 @@ class TestExitCodes:
         code, out, _ = run_cli(["spectrum", "--symbol", "gamma:2", "--n", "2000", "--no-timestamp"], capsys)
         assert code == 0
         assert len(json.loads(out)["result"]["spectrum"]["values"]) == 2001
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_spectrum_is_exit_1(self, fmt, capsys):
+        code, out, err = run_cli(
+            ["spectrum", "--symbol", "gamma:0.6", "--n", "1391", "--format", fmt], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and error["message"].startswith("phi_1390 ")
 
     def test_output_to_missing_directory_is_exit_1(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.json"

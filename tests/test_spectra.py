@@ -20,6 +20,7 @@ from bargmann_toeplitz import (
     maxwell_boltzmann,
     quadrature_eigen,
 )
+from bargmann_toeplitz import spectra
 from bargmann_toeplitz.spectra import CLOSED_FORM, QUADRATURE, absolute_moment, absolute_moments
 
 from conftest import bounded_boundary_symbol
@@ -74,6 +75,18 @@ class TestLaguerreRule:
             assert np.array_equal(nodes, ref_nodes[carried]), node_count
             assert np.array_equal(weights, ref_weights[carried]), node_count
             assert not np.any(ref_weights[seeds >= 800]), node_count
+
+    def test_shipped_tables_are_the_builder_bits(self):
+        shipped = {int(p.stem.split("_")[1]) for p in spectra._RULE_TABLES.glob("laguerre_*.npy")}
+        assert shipped == {25, 50, 100, 200, 400, 800, 1600, 3200, 6400}
+        assert shipped == set(spectra._RULE_LADDER)
+        for node_count in spectra._RULE_LADDER:
+            nodes, weights = laguerre_nodes(QuadratureSpec(node_count))
+            ref_nodes, ref_weights = spectra._build_rule(node_count)
+            stale = f"table {node_count} differs from _build_rule: run tools/make_rule_tables.py"
+            assert np.array_equal(nodes, ref_nodes), stale
+            assert np.array_equal(weights, ref_weights), stale
+            assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
